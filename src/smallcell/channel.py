@@ -56,6 +56,9 @@ class ScenarioConfig:
             raise ValueError("need at least one link and one tone")
         if self.cell_radius_m <= 0 or self.tone_bandwidth_hz <= 0:
             raise ValueError("cell_radius_m and tone_bandwidth_hz must be positive")
+        for name in ("num_floors", "num_walls", "indoor_dist_m", "shadow_sigma_db"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
         return self
 
     @property

@@ -24,7 +24,7 @@ import numpy as np
 from .channel import ScenarioConfig, drop_topology, realize_channels, pathloss_db
 from .signaling import build_cdf_table, run_signaling_slot
 from .tssolver import TSProblem, subgradient_solve, recover_primal
-from .soa import assign_channels, soa_allocate
+from .soa import POWER_MODES, assign_channels, soa_allocate
 from .baselines import iwfa_solve, oracle_orthogonal, evaluate_concurrent, ORACLE_MAX_ASSIGNMENTS
 
 ALGORITHMS = ("SOA", "TS-Subgradient", "IWFA", "Oracle")
@@ -187,8 +187,16 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
     tones it has given up; tones claimed by two or more links collide and
     every collider independently abandons the tone for the rest of the run
     with giveup_probability.
+
+    A link's claims and power row depend only on its fixed view and its
+    give-up set, so a link re-schedules only in the slot after it gives up a
+    new tone; in every other slot it repeats its stored claims and powers.
     """
     cfg.validate()
+    if not 0.0 <= p_loss <= 1.0:
+        raise ValueError("p_loss must be in [0, 1]")
+    if power_mode not in POWER_MODES:
+        raise ValueError(f"unknown power_mode {power_mode!r}, expected one of {POWER_MODES}")
     if not 0.0 <= giveup_probability <= 1.0:
         raise ValueError("giveup_probability must be in [0, 1]")
     if num_slots < 1:
@@ -211,24 +219,16 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
 
     giveup_rng = np.random.default_rng((master_seed, 0, 4))
     given_up = [set() for _ in range(I)]
+    schedule = [None] * I    # per link (claims, power row), None after a new give-up
     states = []
 
     for slot in range(num_slots):
         claims = []
         power = np.zeros((I, K))
         for i in range(I):
-            gains = views[i].effective_gains().copy()
-            if given_up[i]:
-                gains[i, list(given_up[i])] = 0.0   # own abandoned tones are off the table
-            local = TSProblem(gains=gains, weights=weights, budgets=budgets)
-            if power_mode == "equal":
-                mine = assign_channels(local)[i]
-                if mine:
-                    power[i, mine] = budgets[i] / len(mine)
-            else:
-                alloc = soa_allocate(local, power_mode=power_mode)
-                mine = list(np.where(alloc.power[i] > 0)[0])
-                power[i] = alloc.power[i]
+            if schedule[i] is None:
+                schedule[i] = _schedule_link(i, views[i], given_up[i], weights, budgets, power_mode)
+            mine, power[i] = schedule[i]
             claims.append(list(mine))
 
         counts = np.zeros(K, dtype=int)
@@ -254,8 +254,26 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
         for tone, group in collisions:
             for i in group:
                 if giveup_rng.random() < giveup_probability:
-                    given_up[i].add(tone)
+                    given_up[i].add(tone)    # always a new tone: a given-up tone is never claimed
+                    schedule[i] = None
     return states
+
+
+def _schedule_link(i, view, given_up, weights, budgets, power_mode):
+    """Link i's claimed tones and power row, scheduled from its own view."""
+    gains = view.effective_gains()           # a fresh array, safe to edit
+    if given_up:
+        gains[i, list(given_up)] = 0.0   # own abandoned tones are off the table
+    local = TSProblem(gains=gains, weights=weights, budgets=budgets)
+    if power_mode == "equal":
+        mine = assign_channels(local)[i]
+        row = np.zeros(gains.shape[1])
+        if mine:
+            row[mine] = budgets[i] / len(mine)
+    else:
+        row = soa_allocate(local, power_mode=power_mode).power[i]
+        mine = list(np.where(row > 0)[0])
+    return mine, row
 
 
 def summarize(records):

@@ -9,6 +9,12 @@ table lookup inverts f.
 
 One signaling slot is divided into sub-slots, one transmitting link per
 sub-slot, so a slot needs at least as many sub-slots as links.
+
+The two-burst formula is written once, over arrays: encode_powers maps gains
+to transmit power pairs and decode_levels maps received power pairs back to
+levels.  run_signaling_slot pushes every (sender, receiver, tone) burst pair
+of a slot through them at once, one receiver at a time; the scalar encode and
+decode are thin wrappers over the same two functions.
 """
 
 from dataclasses import dataclass
@@ -26,10 +32,13 @@ class QuantizationTable:
     def size(self) -> int:
         return len(self.gain_levels)
 
+    def level_index(self, g):
+        """Index of the smallest level at or above each g, clamped to the top level."""
+        return np.minimum(np.searchsorted(self.gain_levels, g, side="left"), self.size - 1)
+
     def quantize(self, g: float) -> float:
         """Smallest level at or above g, clamped to the extremes."""
-        idx = int(np.searchsorted(self.gain_levels, g, side="left"))
-        return float(self.gain_levels[min(idx, self.size - 1)])
+        return float(self.gain_levels[self.level_index(g)])
 
     def save(self, path):
         # two-column text dump for inspection
@@ -82,29 +91,45 @@ def build_cdf_table(gain_samples, num_levels: int) -> QuantizationTable:
     return QuantizationTable(gain_levels=levels, f_values=probs)
 
 
+def encode_powers(gains, table: QuantizationTable, p0_mw: float):
+    """Transmit powers (reference, scaled) announcing each gain in an array.
+
+    The reference burst goes out at p0_mw, the scaled one at p0_mw * f(level)
+    where level is the quantized gain.
+    """
+    if not p0_mw > 0.0:
+        raise ValueError("reference power must be positive")
+    return p0_mw, p0_mw * table.f_values[table.level_index(gains)]
+
+
+def decode_levels(s1, s2, table: QuantizationTable, ratio_tol: float = 0.1):
+    """Recover the announced gain levels from arrays of received burst powers.
+
+    The power ratio s2/s1 equals f(level) regardless of the propagation
+    gain; the nearest table entry in f-space wins, the lowest index on ties.
+    Ratios outside (0, 1 + ratio_tol] cannot come from a valid pair and raise.
+    """
+    s1 = np.asarray(s1, dtype=float)
+    s2 = np.asarray(s2, dtype=float)
+    if np.any(s1 <= 0.0) or np.any(s2 <= 0.0):
+        raise ValueError("received powers must be positive")
+    ratio = s2 / s1
+    if np.any(ratio > 1.0 + ratio_tol):
+        raise ValueError(f"malformed signal pair, ratio {ratio.max():.4g} "
+                         f"outside (0, {1 + ratio_tol:.2f}]")
+    idx = np.argmin(np.abs(table.f_values - ratio[..., None]), axis=-1)
+    return table.gain_levels[idx]
+
+
 def encode(g: float, table: QuantizationTable, p0_mw: float):
     """Transmit powers (reference, scaled) announcing gain g."""
-    if p0_mw <= 0.0:
-        raise ValueError("reference power must be positive")
-    level = table.quantize(g)
-    idx = int(np.searchsorted(table.gain_levels, level))
-    return p0_mw, p0_mw * float(table.f_values[idx])
+    tx1, tx2 = encode_powers(g, table, p0_mw)
+    return tx1, float(tx2)
 
 
 def decode(sig: SignalPair, table: QuantizationTable, ratio_tol: float = 0.1) -> float:
-    """Recover the announced gain level from a received pair.
-
-    The power ratio s2/s1 equals f(level) regardless of the propagation
-    gain; the nearest table entry in f-space wins.  Ratios outside
-    (0, 1 + ratio_tol] cannot come from a valid pair and raise.
-    """
-    if sig.s1 <= 0.0 or sig.s2 <= 0.0:
-        raise ValueError("received powers must be positive")
-    ratio = sig.s2 / sig.s1
-    if ratio > 1.0 + ratio_tol:
-        raise ValueError(f"malformed signal pair, ratio {ratio:.4g} outside (0, {1 + ratio_tol:.2f}]")
-    idx = int(np.argmin(np.abs(table.f_values - ratio)))
-    return float(table.gain_levels[idx])
+    """Recover the announced gain level from one received pair (see decode_levels)."""
+    return float(decode_levels(sig.s1, sig.s2, table, ratio_tol))
 
 
 def run_signaling_slot(realization, table: QuantizationTable, p0_mw: float,
@@ -115,6 +140,12 @@ def run_signaling_slot(realization, table: QuantizationTable, p0_mw: float,
     Links broadcast sequentially in index order.  Receiver j hears sender i on
     tone k through cross_gain[i, j, k]; the decoded value is the sender's
     quantized direct gain whenever the broadcast gets through.
+
+    Every sender's burst powers are encoded once for all tones.  Each
+    receiver then forms the received pairs s1 = h * P0 and s2 = h * P0 * f
+    over its (I, K) slice of the cross-gain tensor and decodes every pair it
+    heard in one decode_levels call, so the work is I array passes instead
+    of I*I*K scalar decodes, and no temporary grows past (I*K, levels).
 
     Losses: either pass an explicit (I, I, K) boolean loss_mask (True =
     erased), or a probability p_loss for independent per-(sender, receiver,
@@ -139,18 +170,13 @@ def run_signaling_slot(realization, table: QuantizationTable, p0_mw: float,
     else:
         loss_mask = np.asarray(loss_mask, dtype=bool)
 
+    tx1, tx2 = encode_powers(realization.direct_gain, table, p0_mw)
     views = []
     for j in range(I):
+        missing = loss_mask[:, j, :].copy()
+        heard = ~missing
+        h = realization.cross_gain[:, j, :][heard]
         gains = np.zeros((I, K))
-        missing = np.ones((I, K), dtype=bool)
-        for i in range(I):
-            for k in range(K):
-                if loss_mask[i, j, k]:
-                    continue
-                h = realization.cross_gain[i, j, k]
-                tx1, tx2 = encode(realization.direct_gain[i, k], table, p0_mw)
-                sig = SignalPair(s1=h * tx1, s2=h * tx2, tone=k, sender=i)
-                gains[i, k] = decode(sig, table)
-                missing[i, k] = False
+        gains[heard] = decode_levels(h * tx1, h * tx2[heard], table)
         views.append(GainView(receiver=j, gains=gains, missing=missing))
     return views

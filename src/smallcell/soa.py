@@ -17,6 +17,8 @@ import numpy as np
 
 from .tssolver import TSProblem, Allocation, water_fill
 
+POWER_MODES = ("equal", "waterfill")
+
 
 @dataclass
 class GreedyState:
@@ -141,7 +143,7 @@ def soa_allocate(problem: TSProblem, power_mode: str = "equal") -> Allocation:
     power_mode "equal" splits each budget evenly over the link's tones;
     "waterfill" solves the per-link optimal split instead.
     """
-    if power_mode not in ("equal", "waterfill"):
+    if power_mode not in POWER_MODES:
         raise ValueError(f"unknown power_mode {power_mode!r}")
     sets = assign_channels(problem)
     I, K = problem.gains.shape

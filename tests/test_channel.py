@@ -143,3 +143,15 @@ class TestConfigFile:
     def test_invalid_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             ScenarioConfig(scenario="rural").validate()
+
+    @pytest.mark.parametrize("field, value", [("num_floors", -1), ("shadow_sigma_db", -3.0),
+                                              ("num_walls", -2), ("indoor_dist_m", -100.0),
+                                              ("shadow_sigma_db", float("nan"))])
+    def test_negative_propagation_terms_rejected(self, field, value):
+        # unchecked, the first two crash mid-draw and the others silently
+        # lower the path loss
+        with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+            cfg_for(**{field: value}).validate()
+
+    def test_zero_propagation_terms_accepted(self):
+        cfg_for(num_floors=0, shadow_sigma_db=0.0, num_walls=0, indoor_dist_m=0.0).validate()

@@ -8,7 +8,7 @@ from smallcell.harness import (ALGORITHMS, CSV_COLUMNS, TrialRecord, run_experim
                                run_distributed_slots, scenario_gain_samples,
                                summarize, render_summary, write_records_csv,
                                _trial_realization, _bps_factor)
-from smallcell.soa import soa_allocate
+from smallcell.soa import assign_channels, soa_allocate
 from smallcell.tssolver import TSProblem
 
 
@@ -143,6 +143,62 @@ class TestDistributedSlots:
             run_distributed_slots(cfg, num_slots=0)
         with pytest.raises(ValueError):
             run_distributed_slots(cfg, num_slots=1, giveup_probability=1.5)
+        for p_loss in (-0.5, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="p_loss"):
+                run_distributed_slots(cfg, num_slots=1, p_loss=p_loss)
+        with pytest.raises(ValueError, match="power_mode"):
+            run_distributed_slots(cfg, num_slots=1, power_mode="greedy")
+
+    @staticmethod
+    def rescheduled_every_slot(cfg, states, giveup_probability, master_seed, power_mode):
+        """Reference slot loop: every link re-runs the greedy on its view in every slot."""
+        I, K = cfg.num_links, cfg.num_tones
+        weights, budgets = np.ones(I), np.full(I, cfg.max_power_mw)
+        views = states[0].views
+        giveup_rng = np.random.default_rng((master_seed, 0, 4))
+        given_up = [set() for _ in range(I)]
+        slots = []
+        for _ in states:
+            claims, power = [], np.zeros((I, K))
+            for i in range(I):
+                gains = views[i].effective_gains()
+                gains[i, sorted(given_up[i])] = 0.0
+                local = TSProblem(gains=gains, weights=weights, budgets=budgets)
+                if power_mode == "equal":
+                    mine = assign_channels(local)[i]
+                    if mine:
+                        power[i, mine] = budgets[i] / len(mine)
+                else:
+                    power[i] = soa_allocate(local, power_mode).power[i]
+                    mine = list(np.flatnonzero(power[i] > 0))
+                claims.append(mine)
+            collisions = [(k, [i for i in range(I) if k in claims[i]]) for k in range(K)
+                          if sum(k in mine for mine in claims) >= 2]
+            for tone, group in collisions:
+                for i in group:
+                    if giveup_rng.random() < giveup_probability:
+                        given_up[i].add(tone)
+            slots.append((claims, collisions, power))
+        return slots
+
+    @pytest.mark.parametrize("power_mode", ["equal", "waterfill"])
+    @pytest.mark.parametrize("giveup_probability", [0.5, 1.0])
+    @pytest.mark.parametrize("p_loss", [0.1, 0.3])
+    def test_reused_claims_match_rescheduling_every_slot(self, p_loss, giveup_probability,
+                                                          power_mode):
+        collided = 0
+        for seed in (1, 5, 9):
+            cfg = small_cfg(num_links=5, num_tones=8)
+            states = run_distributed_slots(cfg, num_slots=15, p_loss=p_loss,
+                                           giveup_probability=giveup_probability,
+                                           master_seed=seed, power_mode=power_mode)
+            want = self.rescheduled_every_slot(cfg, states, giveup_probability, seed, power_mode)
+            for st, (claims, collisions, power) in zip(states, want):
+                assert st.claims == claims
+                assert st.collisions == collisions
+                assert np.array_equal(st.intended_power, power)
+                collided += len(collisions)
+        assert collided > 0          # give-ups happened, so some links re-scheduled
 
 
 class TestSummaries:

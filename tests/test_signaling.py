@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -148,3 +150,71 @@ class TestSignalingSlot:
         table = build_cdf_table(real.direct_gain.ravel(), 4)
         with pytest.raises(ValueError, match="sub-slots"):
             run_signaling_slot(real, table, cfg.max_power_mw, num_subslots=3)
+
+    def test_nonpositive_reference_power_rejected(self):
+        cfg, real = small_realization()
+        table = build_cdf_table(real.direct_gain.ravel(), 4)
+        every_pair_lost = np.ones((4, 4, 10), dtype=bool)
+        for p0 in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="reference power"):
+                run_signaling_slot(real, table, p0)
+            with pytest.raises(ValueError, match="reference power"):
+                run_signaling_slot(real, table, p0, loss_mask=every_pair_lost)
+
+    def test_zero_cross_gain_on_heard_pair_raises(self):
+        cfg, real = small_realization()
+        table = build_cdf_table(real.direct_gain.ravel(), 4)
+        cross = real.cross_gain.copy()
+        cross[1, 2, 3] = 0.0
+        dead = replace(real, cross_gain=cross)
+        with pytest.raises(ValueError, match="received powers"):
+            run_signaling_slot(dead, table, cfg.max_power_mw)
+        lost = np.zeros((4, 4, 10), dtype=bool)
+        lost[1, 2, 3] = True                  # the dead path is never heard: no check, no raise
+        views = run_signaling_slot(dead, table, cfg.max_power_mw, loss_mask=lost)
+        assert views[2].missing[1, 3] and views[2].gains[1, 3] == 0.0
+
+
+def per_pair_views(realization, table, p0_mw, loss_mask):
+    """Reference signaling slot: one encode -> SignalPair -> decode per (sender, receiver, tone)."""
+    I, K = realization.num_links, realization.num_tones
+    views = []
+    for j in range(I):
+        gains = np.zeros((I, K))
+        missing = np.ones((I, K), dtype=bool)
+        for i in range(I):
+            for k in range(K):
+                if loss_mask[i, j, k]:
+                    continue
+                h = realization.cross_gain[i, j, k]
+                tx1, tx2 = encode(realization.direct_gain[i, k], table, p0_mw)
+                sig = SignalPair(s1=h * tx1, s2=h * tx2, tone=k, sender=i)
+                gains[i, k] = decode(sig, table)
+                missing[i, k] = False
+        views.append((gains, missing))
+    return views
+
+
+class TestSignalingMatchesPerPairDecode:
+    @pytest.mark.parametrize("shape, seed", [((4, 10), 0), ((5, 8), 3), ((3, 16), 8)])
+    @pytest.mark.parametrize("levels", [2, 4, 16])
+    @pytest.mark.parametrize("losses", ["none", "random", "all"])
+    def test_views_bit_identical(self, shape, seed, levels, losses):
+        cfg, real = small_realization(*shape, seed=seed)
+        I, K = shape
+        # codebook from the middle 60% of the gains, so the extremes clamp at both ends
+        ordered = np.sort(real.direct_gain.ravel())
+        cut = len(ordered) // 5
+        table = build_cdf_table(ordered[cut:-cut], levels)
+        assert real.direct_gain.max() > table.gain_levels[-1]
+        rng = np.random.default_rng(seed + 100)
+        loss_mask = {"none": np.zeros((I, I, K), dtype=bool),
+                     "random": rng.random((I, I, K)) < 0.3,
+                     "all": np.ones((I, I, K), dtype=bool)}[losses]
+        views = run_signaling_slot(real, table, cfg.max_power_mw, loss_mask=loss_mask)
+        want = per_pair_views(real, table, cfg.max_power_mw, loss_mask)
+        assert len(views) == I
+        for j, (view, (gains, missing)) in enumerate(zip(views, want)):
+            assert view.receiver == j
+            assert np.array_equal(view.gains, gains)
+            assert np.array_equal(view.missing, missing)
