@@ -90,18 +90,23 @@ def iwfa_solve(realization, budgets, max_rounds: int = 200, eps: float = 1e-6) -
                                   rounds=rounds, converged=converged)
 
 
+class OracleTooLarge(ValueError):
+    """The instance has more assignments than the oracle's enumeration guard allows."""
+
+
 def oracle_orthogonal(problem: TSProblem):
     """Exhaustive optimum over orthogonal assignments.
 
     Every tone goes to exactly one link or to nobody; each link water-fills
     over its set.  Returns (Allocation, objective).  Guarded against
-    combinatorial blowup at (I+1)^K = 10^6 assignments.
+    combinatorial blowup: past (I+1)^K = 10^6 assignments it raises
+    OracleTooLarge.
     """
     I, K = problem.gains.shape
     total = (I + 1) ** K
     if total > ORACLE_MAX_ASSIGNMENTS:
-        raise ValueError(f"{total} assignments exceed the enumeration guard "
-                         f"({ORACLE_MAX_ASSIGNMENTS}); instance too large for the oracle")
+        raise OracleTooLarge(f"{total} assignments exceed the enumeration guard "
+                             f"({ORACLE_MAX_ASSIGNMENTS}); instance too large for the oracle")
 
     best_obj = -np.inf
     best_assign = None
@@ -123,7 +128,5 @@ def oracle_orthogonal(problem: TSProblem):
         if tones:
             share[i, tones] = 1.0
             power[i, tones] = water_fill(problem.gains[i, tones], float(problem.budgets[i]))
-    rate = np.log1p(problem.gains * power).sum(axis=1)
-    alloc = Allocation(share=share, power=power, rate=rate,
-                       objective=float(problem.weights @ rate))
+    alloc = Allocation.from_power(problem, share, power)
     return alloc, alloc.objective

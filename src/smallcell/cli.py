@@ -7,6 +7,7 @@ from dataclasses import replace
 from .channel import ScenarioConfig, SCENARIOS, config_from_file
 from .harness import (ALGORITHMS, run_experiment, run_distributed_slots,
                       summarize, render_summary, write_records_csv)
+from .soa import POWER_MODES
 
 
 def _add_scenario_flags(p, links_as_list=False, radius_as_list=False):
@@ -111,7 +112,7 @@ def main(argv=None) -> int:
     _add_scenario_flags(p_sim)
     p_sim.add_argument("--trials", type=int, default=100)
     p_sim.add_argument("--algos", default="SOA,IWFA", help="comma list from " + ",".join(ALGORITHMS))
-    p_sim.add_argument("--power-mode", choices=("equal", "waterfill"), default="equal")
+    p_sim.add_argument("--power-mode", choices=POWER_MODES, default="equal")
     p_sim.add_argument("--signaling-overhead", type=float, default=0.0,
                        help="fraction of each slot spent signaling, discounts throughput")
     p_sim.add_argument("--out", help="records CSV path")
@@ -123,7 +124,7 @@ def main(argv=None) -> int:
     p_slots.add_argument("--loss-prob", type=float, default=0.0)
     p_slots.add_argument("--giveup-prob", type=float, default=0.5)
     p_slots.add_argument("--signaling-levels", type=int, default=16)
-    p_slots.add_argument("--power-mode", choices=("equal", "waterfill"), default="equal")
+    p_slots.add_argument("--power-mode", choices=POWER_MODES, default="equal")
     p_slots.add_argument("--out", help="per-slot CSV path")
     p_slots.set_defaults(func=_cmd_slots)
 
@@ -131,7 +132,7 @@ def main(argv=None) -> int:
     _add_scenario_flags(p_sweep, links_as_list=True, radius_as_list=True)
     p_sweep.add_argument("--trials", type=int, default=100)
     p_sweep.add_argument("--algos", default="SOA,IWFA")
-    p_sweep.add_argument("--power-mode", choices=("equal", "waterfill"), default="equal")
+    p_sweep.add_argument("--power-mode", choices=POWER_MODES, default="equal")
     p_sweep.add_argument("--signaling-overhead", type=float, default=0.0)
     p_sweep.add_argument("--out", help="records CSV path")
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -12,22 +12,22 @@ a sweep over link counts reuses the same positions and fading for the links
 common to two counts.
 
 Objectives in records are bits/s: solver-side rates are natural-log units
-and get scaled by tone_bandwidth / ln(2) here.  Each record's objective is
-recomputed from the returned allocation, not copied from the solver.
+and get scaled by tone_bandwidth / ln(2) here.  Per-link rates come from the
+returned powers (Allocation.from_power for orthogonal allocations,
+evaluate_concurrent for IWFA), and each record's objective is their weighted
+sum, not an objective copied from the solver.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import csv
 import time
 import numpy as np
 
 from .channel import ScenarioConfig, drop_topology, realize_channels, pathloss_db
 from .signaling import build_cdf_table, run_signaling_slot
-from .tssolver import TSProblem, subgradient_solve, recover_primal
+from .tssolver import TSProblem, Allocation, subgradient_solve, recover_primal
 from .soa import POWER_MODES, assign_channels, soa_allocate
-from .baselines import iwfa_solve, oracle_orthogonal, evaluate_concurrent, ORACLE_MAX_ASSIGNMENTS
-
-ALGORITHMS = ("SOA", "TS-Subgradient", "IWFA", "Oracle")
+from .baselines import OracleTooLarge, iwfa_solve, oracle_orthogonal, evaluate_concurrent
 
 CSV_COLUMNS = ("trial_id", "scenario", "num_links", "num_tones", "algorithm",
                "objective_bps", "runtime_us", "iterations", "collisions", "seed")
@@ -73,10 +73,46 @@ def _trial_realization(cfg: ScenarioConfig, master_seed: int, trial: int):
     return realize_channels(cfg, positions, (master_seed, trial, 2))
 
 
-def _orthogonal_objective(problem: TSProblem, power: np.ndarray, factor: float):
-    """Re-score an orthogonal allocation from scratch."""
-    rate = np.log1p(problem.gains * power).sum(axis=1) * factor
-    return float(problem.weights @ rate), rate
+def _timed(solve):
+    """Run solve(); return its result and the wall time in ns."""
+    t0 = time.perf_counter_ns()
+    out = solve()
+    return out, time.perf_counter_ns() - t0
+
+
+# Each runner returns (solve ns, per-link rates in nats or None when skipped,
+# iterations).  Solver names are looked up in this module when a runner runs,
+# so a wrapper swapped into the module sees every call.
+def _run_soa(problem, realization, power_mode, subgradient_iters):
+    alloc, ns = _timed(lambda: soa_allocate(problem, power_mode=power_mode))
+    return ns, alloc.rate, int(alloc.share.sum())
+
+
+def _run_subgradient(problem, realization, power_mode, subgradient_iters):
+    def solve():
+        result = subgradient_solve(problem, max_iters=subgradient_iters)
+        return result, recover_primal(problem, result.best_multipliers)
+    (result, alloc), ns = _timed(solve)
+    return ns, alloc.rate, result.iterations
+
+
+def _run_iwfa(problem, realization, power_mode, subgradient_iters):
+    result, ns = _timed(lambda: iwfa_solve(realization, problem.budgets))
+    return ns, evaluate_concurrent(realization, result.power), result.rounds
+
+
+def _run_oracle(problem, realization, power_mode, subgradient_iters):
+    try:
+        (alloc, _), ns = _timed(lambda: oracle_orthogonal(problem))
+    except OracleTooLarge:
+        return 0, None, 0
+    I, K = problem.gains.shape
+    return ns, alloc.rate, (I + 1) ** K
+
+
+_SOLVERS = {"SOA": _run_soa, "TS-Subgradient": _run_subgradient,
+            "IWFA": _run_iwfa, "Oracle": _run_oracle}
+ALGORITHMS = tuple(_SOLVERS)
 
 
 def run_experiment(cfg: ScenarioConfig, algorithms=("SOA", "IWFA"), trials: int = 100,
@@ -110,46 +146,17 @@ def run_experiment(cfg: ScenarioConfig, algorithms=("SOA", "IWFA"), trials: int 
         problem = TSProblem(gains=realization.direct_gain, weights=weights, budgets=budgets)
 
         for name in algorithms:
-            objective = 0.0
-            rates = np.zeros(cfg.num_links)
-            iterations = 0
-            skipped = False
-
-            t0 = time.perf_counter_ns()
-            if name == "SOA":
-                alloc = soa_allocate(problem, power_mode=power_mode)
-                runtime_ns = time.perf_counter_ns() - t0
-                objective, rates = _orthogonal_objective(problem, alloc.power, factor)
-                iterations = int(alloc.share.sum())
-            elif name == "TS-Subgradient":
-                result = subgradient_solve(problem, max_iters=subgradient_iters)
-                alloc = recover_primal(problem, result.best_multipliers)
-                runtime_ns = time.perf_counter_ns() - t0
-                objective, rates = _orthogonal_objective(problem, alloc.power, factor)
-                iterations = result.iterations
-            elif name == "IWFA":
-                result = iwfa_solve(realization, budgets)
-                runtime_ns = time.perf_counter_ns() - t0
-                rates = evaluate_concurrent(realization, result.power) * factor
-                objective = float(weights @ rates)
-                iterations = result.rounds
-            else:  # Oracle
-                if (cfg.num_links + 1) ** cfg.num_tones > ORACLE_MAX_ASSIGNMENTS:
-                    runtime_ns = time.perf_counter_ns() - t0
-                    skipped = True
-                else:
-                    alloc, _ = oracle_orthogonal(problem)
-                    runtime_ns = time.perf_counter_ns() - t0
-                    objective, rates = _orthogonal_objective(problem, alloc.power, factor)
-                    iterations = (cfg.num_links + 1) ** cfg.num_tones
-
+            runtime_ns, rates, iterations = _SOLVERS[name](problem, realization, power_mode,
+                                                           subgradient_iters)
+            skipped = rates is None
+            rates = np.zeros(cfg.num_links) if skipped else rates * factor
             records.append(TrialRecord(
                 trial_id=t,
                 scenario=cfg.scenario,
                 num_links=cfg.num_links,
                 num_tones=cfg.num_tones,
                 algorithm=name,
-                objective_bps=objective,
+                objective_bps=0.0 if skipped else float(weights @ rates),
                 runtime_us=max(runtime_ns, 1) / 1000.0,
                 iterations=iterations,
                 collisions=0,
@@ -166,12 +173,8 @@ def scenario_gain_samples(cfg: ScenarioConfig, rng: np.random.Generator, count: 
     Used to build the shared quantization codebook: fresh endpoint pairs and
     shadowing draws, independent of any particular realization.
     """
-    u = rng.random((count, 2, 2))
-    r = cfg.cell_radius_m * np.sqrt(u[..., 0])
-    phi = 2.0 * np.pi * u[..., 1]
-    tx = np.stack([r[:, 0] * np.cos(phi[:, 0]), r[:, 0] * np.sin(phi[:, 0])], axis=-1)
-    rx = np.stack([r[:, 1] * np.cos(phi[:, 1]), r[:, 1] * np.sin(phi[:, 1])], axis=-1)
-    dist = np.maximum(np.linalg.norm(tx - rx, axis=1), 1.0)
+    pos = drop_topology(replace(cfg, num_links=count), rng)
+    dist = np.maximum(np.linalg.norm(pos[0::2] - pos[1::2], axis=1), 1.0)
     pl = pathloss_db(cfg, dist) + rng.normal(0.0, cfg.shadow_sigma_db, size=count)
     return 10.0 ** (-pl / 10.0) / cfg.noise_power_mw
 
@@ -210,6 +213,7 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
     weights = np.ones(I)
 
     realization = _trial_realization(cfg, master_seed, 0)
+    truth = TSProblem(gains=realization.direct_gain, weights=weights, budgets=budgets)
     table_rng = np.random.default_rng((master_seed, 0, 5))
     table = build_cdf_table(scenario_gain_samples(cfg, table_rng), signaling_levels)
 
@@ -237,7 +241,7 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
         collisions = [(int(k), [i for i in range(I) if k in claims[i]])
                       for k in np.where(counts >= 2)[0]]
 
-        intended = np.log1p(realization.direct_gain * power).sum(axis=1) * factor
+        intended = Allocation.from_power(truth, power > 0.0, power).rate * factor
         realized = evaluate_concurrent(realization, power) * factor
 
         states.append(SlotState(

@@ -13,10 +13,13 @@ Rates here are in natural-log units per tone use ("nats"); multiply by
 tone_bandwidth / ln 2 for bits/s.  Powers are mW, gains 1/mW.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 LAM_FLOOR = 1e-12  # evaluation floor, keeps the log bid finite at lam -> 0
+# below this budget * strongest gain, water_fill measures levels from the
+# strongest tone's floor, since budget + 1/g would round to 1/g
+WATER_FILL_MIN_SNR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,12 @@ class Allocation:
     rate: np.ndarray     # (I,) nats
     objective: float     # weighted sum of rates, nats
 
+    @classmethod
+    def from_power(cls, problem: TSProblem, share, power) -> "Allocation":
+        """Score an orthogonal allocation: per-link rates and their weighted sum."""
+        rate = np.log1p(problem.gains * power).sum(axis=1)
+        return cls(share=share, power=power, rate=rate, objective=float(problem.weights @ rate))
+
 
 @dataclass
 class SubgradientResult:
@@ -92,6 +101,22 @@ class SubgradientResult:
     bound_trace: np.ndarray    # running certified gap (R^2 + G^2 sum a^2) / sum a
 
 
+def _bid(theta, g, lam):
+    """Bid xi and power density d of weight theta, gain g at floored multiplier lam.
+
+    A link is active on a tone when theta*g > lam; there d = theta/lam - 1/g
+    and xi = theta*(log(theta*g/lam) - 1) + lam/g.  Inactive entries get 0.
+    """
+    tg = theta * g
+    active = tg > lam
+    g_safe = np.where(g > 0, g, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(active, tg / lam, 1.0)
+        xi = np.where(active, theta * (np.log(ratio) - 1.0) + lam / g_safe, 0.0)
+        d = np.where(active, (ratio - 1.0) / g_safe, 0.0)
+    return xi, d
+
+
 def dual_score(theta, g, lam):
     """Best dual bid of a link for one tone at multiplier lam.
 
@@ -105,15 +130,8 @@ def dual_score(theta, g, lam):
     lam below 1e-12 is floored there, which caps the otherwise divergent
     log; the solver never feeds multipliers below the floor.
     """
-    theta_a = np.asarray(theta, dtype=float)
-    g_a = np.asarray(g, dtype=float)
-    lam_a = np.maximum(np.asarray(lam, dtype=float), LAM_FLOOR)
-    tg = theta_a * g_a
-    active = tg > lam_a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(active, tg / lam_a, 1.0)
-        val = theta_a * (np.log(ratio) - 1.0) + lam_a / np.where(g_a > 0, g_a, 1.0)
-    out = np.where(active, val, 0.0)
+    lam = np.maximum(np.asarray(lam, dtype=float), LAM_FLOOR)
+    out, _ = _bid(np.asarray(theta, dtype=float), np.asarray(g, dtype=float), lam)
     return float(out) if out.ndim == 0 else out
 
 
@@ -124,30 +142,18 @@ def power_density(problem: TSProblem, lam) -> np.ndarray:
     a tone is the share times this density.
     """
     lam_e = np.maximum(np.asarray(lam, dtype=float), LAM_FLOOR)
-    g = problem.gains
-    tg = problem.weights[:, None] * g
-    active = tg > lam_e[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(active, (tg / lam_e[:, None] - 1.0) / np.where(g > 0, g, 1.0), 0.0)
+    _, d = _bid(problem.weights[:, None], problem.gains, lam_e[:, None])
     return d
 
 
 def _dual_terms(problem: TSProblem, lam):
     """Scores, densities, per-tone winners, dual value and subgradient."""
-    g = problem.gains
-    w = problem.weights
     lam_e = np.maximum(lam, LAM_FLOOR)
-    tg = w[:, None] * g
-    active = tg > lam_e[:, None]
-    g_safe = np.where(g > 0, g, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(active, tg / lam_e[:, None], 1.0)
-        xi = np.where(active, w[:, None] * (np.log(ratio) - 1.0) + lam_e[:, None] / g_safe, 0.0)
-        dens = np.where(active, (ratio - 1.0) / g_safe, 0.0)
+    xi, dens = _bid(problem.weights[:, None], problem.gains, lam_e[:, None])
     winner = np.argmax(xi, axis=0)          # ties: lowest link index
-    cols = np.arange(g.shape[1])
+    cols = np.arange(xi.shape[1])
     value = float(xi[winner, cols].sum() + lam_e @ problem.budgets)
-    drawn = np.bincount(winner, weights=dens[winner, cols], minlength=g.shape[0])
+    drawn = np.bincount(winner, weights=dens[winner, cols], minlength=xi.shape[0])
     subgrad = problem.budgets - drawn
     return xi, dens, winner, value, subgrad
 
@@ -222,9 +228,7 @@ def subgradient_solve(problem: TSProblem, schedule=(1.0, 10.0), max_iters: int =
     sum_a2 = 0.0
     converged = False
     window = 100
-    last = None
 
-    t_used = 0
     for t in range(1, max_iters + 1):
         xi, dens, winner, value, subgrad = _dual_terms(problem, lam)
         if not np.isfinite(value):
@@ -243,29 +247,30 @@ def subgradient_solve(problem: TSProblem, schedule=(1.0, 10.0), max_iters: int =
         step_tr[idx] = alpha
         norm_tr[idx] = float(np.linalg.norm(subgrad))
         bound_tr[idx] = (radius2 + gmax2 * sum_a2) / sum_a
-        last = DualIterate(multipliers=lam.copy(), tone_price=xi.max(axis=0), scores=xi,
-                           dual_value=value, subgradient=subgrad, step=alpha, iteration=t)
-        t_used = t
 
         if tol is not None and t > window:
             improve = best_tr[idx - window] - best
             if improve <= tol * max(abs(best), 1e-30):
                 converged = True
                 break
-
+        if t == max_iters:
+            break
         lam = np.clip(lam - alpha * scale * subgrad, LAM_FLOOR, lam_max)
 
+    # lam, xi, value, subgrad and alpha are those of the last evaluated iterate
+    final = DualIterate(multipliers=lam, tone_price=xi.max(axis=0), scores=xi,
+                        dual_value=value, subgradient=subgrad, step=alpha, iteration=t)
     return SubgradientResult(
         best_dual=best,
         best_multipliers=best_lam,
-        iterations=t_used,
+        iterations=t,
         converged=converged,
-        final=last,
-        dual_trace=dual_tr[:t_used].copy(),
-        best_trace=best_tr[:t_used].copy(),
-        step_trace=step_tr[:t_used].copy(),
-        subgrad_norm_trace=norm_tr[:t_used].copy(),
-        bound_trace=bound_tr[:t_used].copy(),
+        final=final,
+        dual_trace=dual_tr[:t].copy(),
+        best_trace=best_tr[:t].copy(),
+        step_trace=step_tr[:t].copy(),
+        subgrad_norm_trace=norm_tr[:t].copy(),
+        bound_trace=bound_tr[:t].copy(),
     )
 
 
@@ -277,6 +282,13 @@ def water_fill(gains, budget: float) -> np.ndarray:
     count keeping every taken tone above water.  Zero-gain entries never get
     power; if no tone has positive gain there is nothing to fill and the
     call raises.
+
+    When budget times the strongest gain is below WATER_FILL_MIN_SNR, the
+    budget is lost to rounding next to 1/g (or 1/g overflows), so the floors
+    1/g_k are measured from the strongest tone's floor instead.  Powers stay
+    non-negative and sum to the budget for every finite gain vector; only a
+    subnormal gain next to a strong tone still warns that 1/g overflowed
+    (that tone stays dry).
     """
     g = np.atleast_1d(np.asarray(gains, dtype=float))
     if g.size == 0:
@@ -286,15 +298,22 @@ def water_fill(gains, budget: float) -> np.ndarray:
     usable = np.where(g > 0.0)[0]
     if usable.size == 0:
         raise ValueError("no tone with positive gain")
-    inv = 1.0 / g[usable]
-    order = np.argsort(inv, kind="stable")
-    inv_sorted = inv[order]
+    gu = g[usable]
+    gmax = gu.max()
+    if budget * gmax >= WATER_FILL_MIN_SNR:
+        floors = 1.0 / gu
+    else:
+        # a tone whose floor sits a full budget above the strongest one's
+        # stays dry, so capping there changes nothing and bounds the sums
+        with np.errstate(over="ignore"):
+            floors = np.minimum((gmax / gu - 1.0) / gmax, budget)
+    order = np.argsort(floors, kind="stable")
+    floors_sorted = floors[order]
     counts = np.arange(1, usable.size + 1)
-    nu_candidates = (budget + np.cumsum(inv_sorted)) / counts
-    m = int(np.max(np.where(nu_candidates > inv_sorted)[0])) + 1
-    nu = nu_candidates[m - 1]
-    out = np.zeros_like(g)
-    out[usable[order[:m]]] = nu - inv_sorted[:m]
+    nu_candidates = (budget + np.cumsum(floors_sorted)) / counts
+    m = int(np.where(nu_candidates > floors_sorted)[0][-1]) + 1
+    out = np.zeros(g.shape)
+    out[usable[order[:m]]] = nu_candidates[m - 1] - floors_sorted[:m]
     # strongest tone absorbs the summation rounding so the budget binds exactly
     out[usable[order[0]]] += budget - out.sum()
     return out
@@ -317,9 +336,7 @@ def recover_primal(problem: TSProblem, lam) -> Allocation:
         won = np.where((winner == i) & (problem.gains[i] > 0.0))[0]
         if won.size:
             power[i, won] = water_fill(problem.gains[i, won], float(problem.budgets[i]))
-    rate = np.log1p(problem.gains * power).sum(axis=1)
-    objective = float(problem.weights @ rate)
-    return Allocation(share=share, power=power, rate=rate, objective=objective)
+    return Allocation.from_power(problem, share, power)
 
 
 def write_trace_csv(result: SubgradientResult, path):

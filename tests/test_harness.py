@@ -83,6 +83,21 @@ class TestRunExperiment:
         recs = run_experiment(cfg, algorithms=ALGORITHMS, trials=1)
         assert [r.algorithm for r in recs] == list(ALGORITHMS)
 
+    def test_solvers_looked_up_at_call_time(self, monkeypatch):
+        # wrappers swapped into the harness module (as a tracer does) see every call
+        import smallcell.harness as harness
+        calls = {}
+        for name in ("soa_allocate", "subgradient_solve", "recover_primal",
+                     "iwfa_solve", "evaluate_concurrent", "oracle_orthogonal"):
+            def counting(*args, _fn=getattr(harness, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(harness, name, counting)
+        run_experiment(small_cfg(num_links=2, num_tones=3), algorithms=ALGORITHMS, trials=2,
+                       subgradient_iters=50)
+        assert calls == {"soa_allocate": 2, "subgradient_solve": 2, "recover_primal": 2,
+                         "iwfa_solve": 2, "evaluate_concurrent": 2, "oracle_orthogonal": 2}
+
 
 class TestScenarioGainSamples:
     def test_shape_and_positivity(self):

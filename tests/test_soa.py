@@ -85,6 +85,42 @@ class TestAssignChannels:
         assert sorted(sets[1]) == [1, 2, 3]
 
 
+def reference_greedy(problem):
+    """The greedy loop as the soa docstring states it, built on marginal_rate.
+
+    Each link nominates its best untaken tone (largest gain, lowest index on
+    ties); the largest strictly positive bid wins, lowest link on ties.
+    """
+    g, w, b = problem.gains, problem.weights, problem.budgets
+    I, K = g.shape
+    held = [[] for _ in range(I)]
+    free = list(range(K))
+    while free:
+        best, winner = 0.0, None
+        for i in range(I):
+            tone = max(free, key=lambda k: (g[i, k], -k))
+            bid = marginal_rate(w[i], b[i], g[i], held[i], tone)
+            if bid > best:
+                best, winner = bid, (i, tone)
+        if winner is None:
+            break
+        held[winner[0]].append(winner[1])
+        free.remove(winner[1])
+    return held
+
+
+class TestGreedyReference:
+    @pytest.mark.parametrize("num_links,num_tones", [(1, 1), (1, 12), (3, 8), (5, 5),
+                                                     (8, 3), (16, 64)])
+    def test_matches_marginal_rate_greedy(self, num_links, num_tones):
+        rng = np.random.default_rng(num_links * 100 + num_tones)
+        for _ in range(4):
+            prob = TSProblem(gains=rng.lognormal(0.0, 2.0, (num_links, num_tones)),
+                             weights=rng.uniform(0.5, 2.0, num_links),
+                             budgets=rng.uniform(0.1, 10.0, num_links))
+            assert assign_channels(prob) == reference_greedy(prob)
+
+
 class TestSoaAllocate:
     def test_equal_split_power(self):
         prob = TSProblem(gains=[[1.0, 0.9, 0.8, 0.004]], weights=[1.0], budgets=[25.0])

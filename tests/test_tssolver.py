@@ -6,6 +6,7 @@ from smallcell.tssolver import (TSProblem, dual_score, power_density, dual_value
                                 subgradient_solve, recover_primal, water_fill,
                                 default_multipliers, write_trace_csv, LAM_FLOOR)
 from smallcell.baselines import oracle_orthogonal
+from smallcell.soa import soa_allocate
 
 
 def random_problem(rng, num_links=3, num_tones=4, gain_scale=1.0):
@@ -238,6 +239,51 @@ class TestWaterFill:
         assert np.all(np.abs(levels - nu) <= 1e-12 * nu)
         if np.any(~active):
             assert np.all(1.0 / g[~active] >= nu - 1e-12 * nu)
+
+    @pytest.mark.parametrize("gains,budget", [([1e-300, 1e-300], 100.0), ([1e-290] * 64, 100.0),
+                                              ([1e-308] * 2, 100.0), ([1e-320], 1.0),
+                                              ([1e-20], 100.0)])
+    def test_weak_gains_split_the_budget(self, gains, budget):
+        # budget * gain far below 1: budget + 1/g rounds to 1/g in the classic formula
+        p = water_fill(gains, budget)
+        assert np.all(np.isfinite(p)) and np.all(p >= 0.0)
+        assert p.sum() == pytest.approx(budget, rel=1e-12)
+        strongest = np.asarray(gains) == max(gains)
+        assert np.allclose(p[strongest], budget / strongest.sum(), rtol=1e-12)
+
+    def test_subnormal_gain_next_to_a_strong_tone_stays_dry(self):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            p = water_fill([1.0, 1e-320], 1.0)
+        assert np.array_equal(p, [1.0, 0.0])
+
+    def test_weak_gains_keep_water_filling_levels(self):
+        # 1/g differs by 10 between the tones: levels 55 and 45 + 10 above 1/g_max
+        g = np.array([1e-12, 1e-12 / (1.0 + 1e-11)])
+        p = water_fill(g, 100.0)
+        floors = (g[0] / g - 1.0) / g[0]
+        assert np.allclose(p, [55.0, 45.0], rtol=1e-3)
+        assert np.allclose(p + floors, (p + floors)[0], rtol=1e-12)
+
+    def test_normal_gains_use_the_classic_formula_exactly(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            g = rng.lognormal(0.0, 3.0, int(rng.integers(1, 20)))
+            budget = float(rng.choice([0.01, 1.0, 100.0]))
+            order = np.argsort(1.0 / g, kind="stable")
+            inv = 1.0 / g[order]
+            nu = (budget + np.cumsum(inv)) / np.arange(1, g.size + 1)
+            m = int(np.flatnonzero(nu > inv)[-1]) + 1
+            expected = np.zeros_like(g)
+            expected[order[:m]] = nu[m - 1] - inv[:m]
+            expected[order[0]] += budget - expected.sum()
+            assert np.array_equal(water_fill(g, budget), expected)
+
+    def test_subnormal_gain_problem_solves(self):
+        prob = TSProblem(gains=[[1e-320]], weights=[1.0], budgets=[1.0])
+        for alloc in (soa_allocate(prob, "waterfill"), oracle_orthogonal(prob)[0],
+                      recover_primal(prob, subgradient_solve(prob, max_iters=20).best_multipliers)):
+            assert np.array_equal(alloc.power, [[1.0]])
+            assert np.isfinite(alloc.objective) and alloc.objective >= 0.0
 
 
 class TestProblemValidation:
