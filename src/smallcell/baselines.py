@@ -5,13 +5,13 @@ repeatedly water-fills its budget against the noise plus interference it
 currently sees, a best-response dynamic that (when it settles) lands on a
 Nash equilibrium.  The oracle enumerates every orthogonal tone assignment
 and is the exact optimum of the assignment problem on instances small
-enough to enumerate.
+enough to enumerate; like SOA and dual recovery it builds its allocation
+with the shared power phase, Allocation.from_sets.
 
 Rates are natural-log units per tone use, consistent with tssolver.
 """
 
 from dataclasses import dataclass
-from itertools import product
 import numpy as np
 
 from .tssolver import TSProblem, Allocation, water_fill
@@ -24,7 +24,6 @@ class InterferenceAllocation:
     """Concurrent-transmission outcome of the water filling game."""
 
     power: np.ndarray    # (I, K) mW
-    sinr: np.ndarray     # (I, K)
     rate: np.ndarray     # (I,) nats
     rounds: int
     converged: bool
@@ -83,10 +82,7 @@ def iwfa_solve(realization, budgets, max_rounds: int = 200, eps: float = 1e-6) -
             converged = True
             break
 
-    interf = _interference(cross, power)
-    sinr = own_gain * power / (noise + interf)
-    rate = np.log1p(sinr).sum(axis=1)
-    return InterferenceAllocation(power=power, sinr=sinr, rate=rate,
+    return InterferenceAllocation(power=power, rate=evaluate_concurrent(realization, power),
                                   rounds=rounds, converged=converged)
 
 
@@ -98,35 +94,38 @@ def oracle_orthogonal(problem: TSProblem):
     """Exhaustive optimum over orthogonal assignments.
 
     Every tone goes to exactly one link or to nobody; each link water-fills
-    over its set.  Returns (Allocation, objective).  Guarded against
+    over its set.  Each link's water-filled value is tabulated once for every
+    tone subset (I * (2^K - 1) water-fills), then every assignment is scored
+    from the table in itertools.product order; the first best one is built by
+    Allocation.from_sets.  Returns (Allocation, objective).  Guarded against
     combinatorial blowup: past (I+1)^K = 10^6 assignments it raises
     OracleTooLarge.
     """
-    I, K = problem.gains.shape
+    g, w, b = problem.gains, problem.weights, problem.budgets
+    I, K = g.shape
     total = (I + 1) ** K
     if total > ORACLE_MAX_ASSIGNMENTS:
         raise OracleTooLarge(f"{total} assignments exceed the enumeration guard "
                              f"({ORACLE_MAX_ASSIGNMENTS}); instance too large for the oracle")
 
-    best_obj = -np.inf
-    best_assign = None
-    for assign in product(range(-1, I), repeat=K):
-        obj = 0.0
-        for i in range(I):
-            tones = [k for k in range(K) if assign[k] == i and problem.gains[i, k] > 0.0]
-            if tones:
-                p = water_fill(problem.gains[i, tones], float(problem.budgets[i]))
-                obj += problem.weights[i] * np.log1p(problem.gains[i, tones] * p).sum()
-        if obj > best_obj:
-            best_obj = obj
-            best_assign = assign
-
-    share = np.zeros((I, K))
-    power = np.zeros((I, K))
+    # value[i, m]: link i's weighted rate when it water-fills over the
+    # positive-gain tones of bitmask m (bit k = tone k)
+    value = np.zeros((I, 2 ** K))
     for i in range(I):
-        tones = [k for k in range(K) if best_assign[k] == i and problem.gains[i, k] > 0.0]
-        if tones:
-            share[i, tones] = 1.0
-            power[i, tones] = water_fill(problem.gains[i, tones], float(problem.budgets[i]))
-    alloc = Allocation.from_power(problem, share, power)
+        for m in range(1, 2 ** K):
+            tones = [k for k in range(K) if m >> k & 1 and g[i, k] > 0.0]
+            if tones:
+                value[i, m] = w[i] * np.log1p(g[i, tones] * water_fill(g[i, tones], float(b[i]))).sum()
+
+    # assignment n gives tone k (tone 0 most significant) to link digit_k - 1,
+    # digit_k being the k-th base-(I+1) digit of n, as product(range(-1, I)) does
+    score = 0.0
+    for i in range(I):
+        mask = np.zeros(1, dtype=np.int64)
+        for k in range(K):
+            mask = (mask[:, None] + np.where(np.arange(I + 1) == i + 1, 1 << k, 0)).ravel()
+        score = score + value[i, mask]
+    best = np.unravel_index(int(np.argmax(score)), (I + 1,) * K)
+    alloc = Allocation.from_sets(problem, [[k for k in range(K) if best[k] == i + 1]
+                                           for i in range(I)])
     return alloc, alloc.objective

@@ -51,7 +51,10 @@ class TrialRecord:
 
 @dataclass
 class SlotState:
-    """Outcome of one traffic slot of the distributed protocol."""
+    """Outcome of one traffic slot of the distributed protocol.
+
+    A slot where no link re-scheduled shares its objects with the slot before.
+    """
 
     slot_index: int
     views: list                      # per-link GainView, shared across slots
@@ -193,7 +196,8 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
 
     A link's claims and power row depend only on its fixed view and its
     give-up set, so a link re-schedules only in the slot after it gives up a
-    new tone; in every other slot it repeats its stored claims and powers.
+    new tone.  A slot where no link re-schedules shares the previous state's
+    claims, powers, collisions and rates, so treat them as read-only.
     """
     cfg.validate()
     if not 0.0 <= p_loss <= 1.0:
@@ -227,22 +231,17 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
     states = []
 
     for slot in range(num_slots):
-        claims = []
-        power = np.zeros((I, K))
-        for i in range(I):
-            if schedule[i] is None:
-                schedule[i] = _schedule_link(i, views[i], given_up[i], weights, budgets, power_mode)
-            mine, power[i] = schedule[i]
-            claims.append(list(mine))
-
-        counts = np.zeros(K, dtype=int)
-        for mine in claims:
-            counts[mine] += 1
-        collisions = [(int(k), [i for i in range(I) if k in claims[i]])
-                      for k in np.where(counts >= 2)[0]]
-
-        intended = Allocation.from_power(truth, power > 0.0, power).rate * factor
-        realized = evaluate_concurrent(realization, power) * factor
+        if None in schedule:
+            for i in range(I):
+                if schedule[i] is None:
+                    schedule[i] = _schedule_link(i, views[i], given_up[i], weights, budgets, power_mode)
+            claims = [list(mine) for mine, _ in schedule]
+            power = np.vstack([row for _, row in schedule])
+            claimed = power > 0.0    # a link claims exactly the tones it powers
+            collisions = [(int(k), np.flatnonzero(claimed[:, k]).tolist())
+                          for k in np.flatnonzero(claimed.sum(axis=0) >= 2)]
+            intended = Allocation.from_power(truth, claimed, power).rate * factor
+            realized = evaluate_concurrent(realization, power) * factor
 
         states.append(SlotState(
             slot_index=slot,

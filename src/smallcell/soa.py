@@ -4,8 +4,9 @@ One tone is handed out per step: every link nominates its best unassigned
 tone and reports the marginal rate it would gain from receiving it under
 equal power split across its tones so far; the link with the largest
 strictly positive marginal rate wins.  Assignment stops when nobody gains,
-so weak tones can stay unassigned.  The power phase either splits the
-budget equally over a link's tones or water-fills it.
+so weak tones can stay unassigned.  The power phase is the one shared by
+every orthogonal allocation (tssolver.Allocation.from_sets): each link
+splits its budget equally over its tones or water-fills it.
 
 The loop keeps per-link running log-sums of the held tones at the current
 split and at the split after one more tone, so a step is one argmax over
@@ -16,9 +17,7 @@ O(I K^2) for a whole assignment.
 
 import numpy as np
 
-from .tssolver import TSProblem, Allocation, water_fill
-
-POWER_MODES = ("equal", "waterfill")
+from .tssolver import POWER_MODES, TSProblem, Allocation
 
 
 def marginal_rate(theta: float, budget: float, gains, acs, cta: int) -> float:
@@ -76,28 +75,9 @@ def assign_channels(problem: TSProblem):
 
 
 def soa_allocate(problem: TSProblem, power_mode: str = "equal") -> Allocation:
-    """Greedy assignment followed by the selected power phase.
+    """Greedy assignment followed by the power phase of Allocation.from_sets.
 
     power_mode "equal" splits each budget evenly over the link's tones;
     "waterfill" solves the per-link optimal split instead.
     """
-    if power_mode not in POWER_MODES:
-        raise ValueError(f"unknown power_mode {power_mode!r}")
-    sets = assign_channels(problem)
-    I, K = problem.gains.shape
-    owner = np.full(K, -1)
-    for i, tones in enumerate(sets):
-        for k in tones:
-            owner[k] = i
-    used = np.flatnonzero(owner >= 0)
-    share = np.zeros((I, K))
-    power = np.zeros((I, K))
-    share[owner[used], used] = 1.0
-    if power_mode == "equal":
-        counts = np.bincount(owner[used], minlength=I)
-        power[owner[used], used] = problem.budgets[owner[used]] / counts[owner[used]]
-    else:
-        for i, tones in enumerate(sets):
-            if tones:
-                power[i, tones] = water_fill(problem.gains[i, tones], float(problem.budgets[i]))
-    return Allocation.from_power(problem, share, power)
+    return Allocation.from_sets(problem, assign_channels(problem), power_mode)

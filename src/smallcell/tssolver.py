@@ -20,6 +20,7 @@ LAM_FLOOR = 1e-12  # evaluation floor, keeps the log bid finite at lam -> 0
 # below this budget * strongest gain, water_fill measures levels from the
 # strongest tone's floor, since budget + 1/g would round to 1/g
 WATER_FILL_MIN_SNR = 1e-6
+POWER_MODES = ("equal", "waterfill")
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,31 @@ class Allocation:
         """Score an orthogonal allocation: per-link rates and their weighted sum."""
         rate = np.log1p(problem.gains * power).sum(axis=1)
         return cls(share=share, power=power, rate=rate, objective=float(problem.weights @ rate))
+
+    @classmethod
+    def from_sets(cls, problem: TSProblem, sets, power_mode: str = "waterfill") -> "Allocation":
+        """The power phase: link i takes every tone of sets[i] at full share.
+
+        power_mode "equal" splits each budget evenly over the link's tones;
+        "waterfill" water-fills it over the positive-gain ones, and a
+        zero-gain tone keeps its share but gets no power.  Sets are used in
+        the given order, since water_fill's rounding fix-up sums in input
+        order.  Scored by from_power.
+        """
+        if power_mode not in POWER_MODES:
+            raise ValueError(f"unknown power_mode {power_mode!r}, expected one of {POWER_MODES}")
+        share = np.zeros(problem.gains.shape)
+        power = np.zeros(problem.gains.shape)
+        for i, tones in enumerate(sets):
+            tones = np.asarray(tones, dtype=int)
+            share[i, tones] = 1.0
+            if power_mode == "equal":
+                power[i, tones] = problem.budgets[i] / max(tones.size, 1)
+                continue
+            wet = tones[problem.gains[i, tones] > 0.0]
+            if wet.size:
+                power[i, wet] = water_fill(problem.gains[i, wet], float(problem.budgets[i]))
+        return cls.from_power(problem, share, power)
 
 
 @dataclass
@@ -178,12 +204,13 @@ def default_multipliers(problem: TSProblem) -> np.ndarray:
 
 
 def subgradient_solve(problem: TSProblem, schedule=(1.0, 10.0), max_iters: int = 10000,
-                      tol=1e-6, scale_steps: bool = True, lam0=None) -> SubgradientResult:
+                      tol=1e-6) -> SubgradientResult:
     """Minimize the dual by projected subgradient with diminishing steps.
 
+    Starts from default_multipliers (lam0, clipped into the box below).
     schedule (a, b) sets alpha(t) = a / (b + t), square summable but not
-    summable.  With scale_steps each link's step is additionally scaled by
-    lam0_i / budget_i so the update speed matches the natural size of its
+    summable, and each link's step is additionally scaled by lam0_i /
+    budget_i so the update speed matches the natural size of its
     multiplier; this is a plain subgradient method in per-link rescaled
     coordinates and the recorded gap bound is computed in those coordinates.
 
@@ -207,10 +234,9 @@ def subgradient_solve(problem: TSProblem, schedule=(1.0, 10.0), max_iters: int =
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
 
-    lam = default_multipliers(problem) if lam0 is None else np.asarray(lam0, dtype=float).copy()
     lam_max = problem.num_tones * problem.weights / problem.budgets
-    lam = np.clip(lam, LAM_FLOOR, lam_max)
-    scale = lam / problem.budgets if scale_steps else np.ones_like(lam)
+    lam = np.clip(default_multipliers(problem), LAM_FLOOR, lam_max)
+    scale = lam / problem.budgets
 
     # distance bound to any optimizer inside the box, in rescaled coordinates
     radius2 = float(np.sum(np.maximum(lam, lam_max - lam) ** 2 / scale))
@@ -323,20 +349,12 @@ def recover_primal(problem: TSProblem, lam) -> Allocation:
     """Feasible allocation from converged multipliers.
 
     Each tone goes wholly to its winning bidder, then every link water-fills
-    its budget over the tones it won.  Feasible by construction; its
-    objective lower-bounds the time-sharing optimum.
+    its budget over the tones it won (Allocation.from_sets).  Feasible by
+    construction; its objective lower-bounds the time-sharing optimum.
     """
-    lam = np.asarray(lam, dtype=float)
-    _, _, winner, _, _ = _dual_terms(problem, lam)
-    I, K = problem.gains.shape
-    share = np.zeros((I, K))
-    share[winner, np.arange(K)] = 1.0
-    power = np.zeros((I, K))
-    for i in range(I):
-        won = np.where((winner == i) & (problem.gains[i] > 0.0))[0]
-        if won.size:
-            power[i, won] = water_fill(problem.gains[i, won], float(problem.budgets[i]))
-    return Allocation.from_power(problem, share, power)
+    _, _, winner, _, _ = _dual_terms(problem, np.asarray(lam, dtype=float))
+    return Allocation.from_sets(problem, [np.flatnonzero(winner == i)
+                                          for i in range(problem.num_links)])
 
 
 def write_trace_csv(result: SubgradientResult, path):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,56 @@ class TestOracle:
         alloc, obj = oracle_orthogonal(prob)
         assert alloc.share[0, 1] == 0.0
         assert obj == pytest.approx(np.log(2.0))
+
+
+def product_scan_oracle(prob):
+    """Reference Oracle: water-fill every link's set for every enumerated assignment."""
+    g, w, b = prob.gains, prob.weights, prob.budgets
+    I, K = g.shape
+    best_obj, best_assign = -np.inf, None
+    for assign in product(range(-1, I), repeat=K):
+        obj = 0.0
+        for i in range(I):
+            tones = [k for k in range(K) if assign[k] == i and g[i, k] > 0.0]
+            if tones:
+                p = water_fill(g[i, tones], float(b[i]))
+                obj += w[i] * np.log1p(g[i, tones] * p).sum()
+        if obj > best_obj:
+            best_obj, best_assign = obj, assign
+    share = np.zeros((I, K))
+    power = np.zeros((I, K))
+    for i in range(I):
+        tones = [k for k in range(K) if best_assign[k] == i and g[i, k] > 0.0]
+        if tones:
+            share[i, tones] = 1.0
+            power[i, tones] = water_fill(g[i, tones], float(b[i]))
+    return share, power, float(w @ np.log1p(g * power).sum(axis=1))
+
+
+class TestOracleMatchesProductScan:
+    SHAPES = [(1, 1), (1, 5), (2, 1), (2, 4), (3, 3), (4, 2), (2, 8)]
+
+    @staticmethod
+    def gains(rng, kind, shape):
+        if kind == "continuous":
+            return rng.lognormal(0.0, 1.0, shape)
+        if kind == "ties":
+            return rng.integers(1, 3, shape).astype(float)
+        g = rng.lognormal(0.0, 1.0, shape)
+        g[rng.integers(shape[0])] = 0.0          # a link that hears nothing
+        g[:, rng.integers(shape[1])] = 0.0       # a tone nobody can use
+        g[rng.random(shape) < 0.2] = 0.0
+        return g
+
+    @pytest.mark.parametrize("kind", ["continuous", "ties", "zeros"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_exact_match(self, shape, kind):
+        rng = np.random.default_rng(sum(shape) * 31 + len(kind))
+        for weights in (np.ones(shape[0]), rng.uniform(0.5, 2.0, shape[0])):
+            prob = TSProblem(gains=self.gains(rng, kind, shape), weights=weights,
+                             budgets=rng.uniform(0.5, 5.0, shape[0]))
+            share, power, objective = product_scan_oracle(prob)
+            alloc, obj = oracle_orthogonal(prob)
+            assert np.array_equal(alloc.share, share)
+            assert np.array_equal(alloc.power, power)
+            assert alloc.objective == objective and obj == objective

@@ -9,7 +9,8 @@ from smallcell.harness import (ALGORITHMS, CSV_COLUMNS, TrialRecord, run_experim
                                summarize, render_summary, write_records_csv,
                                _trial_realization, _bps_factor)
 from smallcell.soa import assign_channels, soa_allocate
-from smallcell.tssolver import TSProblem
+from smallcell.tssolver import TSProblem, Allocation
+from smallcell.baselines import evaluate_concurrent
 
 
 def small_cfg(**kw):
@@ -214,6 +215,27 @@ class TestDistributedSlots:
                 assert np.array_equal(st.intended_power, power)
                 collided += len(collisions)
         assert collided > 0          # give-ups happened, so some links re-scheduled
+
+
+    @pytest.mark.parametrize("power_mode", ["equal", "waterfill"])
+    def test_each_state_rates_match_its_own_power(self, power_mode):
+        collided = 0
+        for seed in (1, 5, 9):
+            cfg = small_cfg(num_links=5, num_tones=8)
+            states = run_distributed_slots(cfg, num_slots=15, p_loss=0.3, master_seed=seed,
+                                           power_mode=power_mode)
+            realization = _trial_realization(cfg, seed, 0)
+            truth = TSProblem(gains=realization.direct_gain, weights=np.ones(5),
+                              budgets=np.full(5, cfg.max_power_mw))
+            factor = _bps_factor(cfg)
+            for st in states:
+                power = st.intended_power
+                intended = Allocation.from_power(truth, power > 0.0, power).rate * factor
+                assert np.array_equal(st.intended_rate_bps, intended)
+                assert np.array_equal(st.realized_rate_bps,
+                                      evaluate_concurrent(realization, power) * factor)
+                collided += len(st.collisions)
+        assert collided > 0
 
 
 class TestSummaries:

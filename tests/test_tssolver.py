@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smallcell.tssolver import (TSProblem, dual_score, power_density, dual_value,
+from smallcell.tssolver import (TSProblem, Allocation, dual_score, power_density, dual_value,
                                 subgradient_solve, recover_primal, water_fill,
                                 default_multipliers, write_trace_csv, LAM_FLOOR)
 from smallcell.baselines import oracle_orthogonal
@@ -204,6 +204,44 @@ class TestRecoverPrimal:
         assert np.all(alloc.share.sum(axis=0) <= 1.0 + 1e-12)
         assert np.all(alloc.power.sum(axis=1) <= prob.budgets + 1e-9)
         assert np.all(alloc.power[alloc.share == 0.0] == 0.0)
+
+
+class TestFromSets:
+    PROB = TSProblem(gains=[[2.0, 0.0, 1.0, 0.5], [1.0, 3.0, 0.0, 0.0]],
+                     weights=[1.0, 2.0], budgets=[3.0, 4.0])
+
+    def test_equal_split(self):
+        alloc = Allocation.from_sets(self.PROB, [[2, 0, 3], [1]], power_mode="equal")
+        assert np.array_equal(alloc.share, [[1, 0, 1, 1], [0, 1, 0, 0]])
+        assert np.array_equal(alloc.power, [[1.0, 0.0, 1.0, 1.0], [0.0, 4.0, 0.0, 0.0]])
+        rate = np.log1p(self.PROB.gains * alloc.power).sum(axis=1)
+        assert np.array_equal(alloc.rate, rate)
+        assert alloc.objective == float(self.PROB.weights @ rate)
+
+    def test_zero_gain_tones_keep_share_without_power(self):
+        alloc = Allocation.from_sets(self.PROB, [[0, 1], [1, 2, 3]])
+        assert np.array_equal(alloc.share, [[1, 1, 0, 0], [0, 1, 1, 1]])
+        assert np.array_equal(alloc.power[0], [3.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(alloc.power[1], [0.0, 4.0, 0.0, 0.0])
+
+    def test_water_fill_over_the_given_order(self):
+        alloc = Allocation.from_sets(self.PROB, [[3, 0, 2], []])
+        want = np.zeros(4)
+        want[[3, 0, 2]] = water_fill([0.5, 2.0, 1.0], 3.0)
+        assert np.array_equal(alloc.power[0], want)
+
+    @pytest.mark.parametrize("mode", ["equal", "waterfill"])
+    def test_empty_sets(self, mode):
+        alloc = Allocation.from_sets(self.PROB, [[], np.array([], dtype=int)], power_mode=mode)
+        assert not alloc.share.any() and not alloc.power.any()
+        assert alloc.objective == 0.0
+        # a link whose set holds only zero-gain tones gets no power either
+        alloc = Allocation.from_sets(self.PROB, [[1], [2, 3]], power_mode="waterfill")
+        assert not alloc.power.any() and alloc.share.sum() == 3
+
+    def test_unknown_mode_raises(self):
+        with pytest.raises(ValueError, match="power_mode"):
+            Allocation.from_sets(self.PROB, [[0], [1]], power_mode="peak")
 
 
 class TestWaterFill:
