@@ -17,6 +17,7 @@ import numpy as np
 from .tssolver import TSProblem, Allocation, water_fill
 
 ORACLE_MAX_ASSIGNMENTS = 10 ** 6
+IWFA_EPS_MW = 1e-6  # IWFA settles once a round moves no power entry by this much
 
 
 @dataclass
@@ -46,20 +47,18 @@ def evaluate_concurrent(realization, power) -> np.ndarray:
     return np.log1p(sinr).sum(axis=1)
 
 
-def iwfa_solve(realization, budgets, max_rounds: int = 200, eps: float = 1e-6) -> InterferenceAllocation:
+def iwfa_solve(realization, budgets, max_rounds: int = 200) -> InterferenceAllocation:
     """Round-robin best-response water filling.
 
     Links update sequentially in index order; each one water-fills its budget
     against the noise-plus-interference floor left by the others' current
     powers.  Starts from the interference-free water filling point.  Stops
-    after a full round moves no power entry by more than eps (mW), or at
+    after a full round moves no power entry by IWFA_EPS_MW or more, or at
     max_rounds; running out of rounds sets converged=False and is not an
     error.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
     budgets = np.asarray(budgets, dtype=float)
     cross = realization.cross_gain
     I, K = realization.num_links, realization.num_tones
@@ -78,7 +77,7 @@ def iwfa_solve(realization, budgets, max_rounds: int = 200, eps: float = 1e-6) -
             new_p = water_fill(own_gain[i] / floor, float(budgets[i]))
             delta = max(delta, float(np.max(np.abs(new_p - power[i]))))
             power[i] = new_p
-        if delta < eps:
+        if delta < IWFA_EPS_MW:
             converged = True
             break
 

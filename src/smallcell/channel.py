@@ -59,6 +59,9 @@ class ScenarioConfig:
         for name in ("num_floors", "num_walls", "indoor_dist_m", "shadow_sigma_db"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
+        for f in fields(self):
+            if f.type in (float, "float") and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         return self
 
     @property

@@ -7,7 +7,7 @@ from dataclasses import replace
 from .channel import ScenarioConfig, SCENARIOS, config_from_file
 from .harness import (ALGORITHMS, run_experiment, run_distributed_slots,
                       summarize, render_summary, write_records_csv)
-from .soa import POWER_MODES
+from .tssolver import POWER_MODES
 
 
 def _add_scenario_flags(p, links_as_list=False, radius_as_list=False):
@@ -48,15 +48,7 @@ def _parse_algos(text):
 
 
 def _cmd_sim(args):
-    cfg = _build_cfg(args)
-    records = run_experiment(cfg, _parse_algos(args.algos), trials=args.trials,
-                             power_mode=args.power_mode,
-                             signaling_overhead=args.signaling_overhead)
-    if args.out:
-        write_records_csv(records, args.out)
-        print(f"wrote {len(records)} records to {args.out}")
-    print(render_summary(summarize(records)))
-    return 0
+    return _run_points(args, [args.links], [args.radius])
 
 
 def _cmd_slots(args):
@@ -83,7 +75,11 @@ def _cmd_sweep(args):
     radius_list = [float(x) for x in args.radius.split(",")] if args.radius else [None]
     if len(links_list) > 1 and len(radius_list) > 1:
         raise SystemExit("sweep varies links or radius, not both")
+    return _run_points(args, links_list, radius_list)
 
+
+def _run_points(args, links_list, radius_list):
+    """Run every (radius, links) point; sim is the one-point case (None keeps the scenario's value)."""
     all_records = []
     for radius in radius_list:
         for links in links_list:

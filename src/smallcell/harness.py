@@ -25,8 +25,8 @@ import numpy as np
 
 from .channel import ScenarioConfig, drop_topology, realize_channels, pathloss_db
 from .signaling import build_cdf_table, run_signaling_slot
-from .tssolver import TSProblem, Allocation, subgradient_solve, recover_primal
-from .soa import POWER_MODES, assign_channels, soa_allocate
+from .tssolver import POWER_MODES, TSProblem, Allocation, split_power, subgradient_solve, recover_primal
+from .soa import assign_channels, soa_allocate
 from .baselines import OracleTooLarge, iwfa_solve, oracle_orthogonal, evaluate_concurrent
 
 CSV_COLUMNS = ("trial_id", "scenario", "num_links", "num_tones", "algorithm",
@@ -58,7 +58,7 @@ class SlotState:
 
     slot_index: int
     views: list                      # per-link GainView, shared across slots
-    claims: list                     # per-link list of claimed tone indices
+    claims: list                     # per-link powered tones, in greedy order
     intended_power: np.ndarray       # (I, K) mW each link meant to transmit
     intended_rate_bps: np.ndarray    # (I,) interference-free rates at true gains
     realized_rate_bps: np.ndarray    # (I,) rates under actual concurrent transmission
@@ -187,12 +187,16 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
                           master_seed=None, power_mode: str = "equal"):
     """Play the slotted protocol on one topology and return per-slot states.
 
-    Signal losses are persistent for the whole run (a blocked propagation
-    path stays blocked), so every link holds a fixed decoded view.  Each
-    slot, every link greedily schedules itself from its own view, excluding
-    tones it has given up; tones claimed by two or more links collide and
-    every collider independently abandons the tone for the rest of the run
-    with giveup_probability.
+    Signal losses are drawn once, here, with probability p_loss per
+    (sender, receiver, tone), and are persistent for the whole run (a
+    blocked propagation path stays blocked), so every link holds a fixed
+    decoded view.  Each slot, every link greedily schedules itself from its
+    own view, excluding tones it has given up, and splits its budget over
+    the tones it won with tssolver.split_power (the power phase every
+    orthogonal allocation uses).  A link claims the tones it powers, listed
+    in the order the greedy handed them out; tones claimed by two or more
+    links collide and every collider independently abandons the tone for
+    the rest of the run with giveup_probability.
 
     A link's claims and power row depend only on its fixed view and its
     give-up set, so a link re-schedules only in the slot after it gives up a
@@ -221,8 +225,7 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
     table_rng = np.random.default_rng((master_seed, 0, 5))
     table = build_cdf_table(scenario_gain_samples(cfg, table_rng), signaling_levels)
 
-    loss_rng = np.random.default_rng((master_seed, 0, 3))
-    loss_mask = loss_rng.random((I, I, K)) < p_loss if p_loss > 0 else np.zeros((I, I, K), dtype=bool)
+    loss_mask = np.random.default_rng((master_seed, 0, 3)).random((I, I, K)) < p_loss
     views = run_signaling_slot(realization, table, cfg.max_power_mw, loss_mask=loss_mask)
 
     giveup_rng = np.random.default_rng((master_seed, 0, 4))
@@ -267,16 +270,9 @@ def _schedule_link(i, view, given_up, weights, budgets, power_mode):
     gains = view.effective_gains()           # a fresh array, safe to edit
     if given_up:
         gains[i, list(given_up)] = 0.0   # own abandoned tones are off the table
-    local = TSProblem(gains=gains, weights=weights, budgets=budgets)
-    if power_mode == "equal":
-        mine = assign_channels(local)[i]
-        row = np.zeros(gains.shape[1])
-        if mine:
-            row[mine] = budgets[i] / len(mine)
-    else:
-        row = soa_allocate(local, power_mode=power_mode).power[i]
-        mine = list(np.where(row > 0)[0])
-    return mine, row
+    won = assign_channels(TSProblem(gains=gains, weights=weights, budgets=budgets))[i]
+    row = split_power(gains[i], won, budgets[i], power_mode)
+    return [k for k in won if row[k] > 0.0], row
 
 
 def summarize(records):

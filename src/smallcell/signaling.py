@@ -8,7 +8,7 @@ bursts; the unknown cross-channel attenuation cancels in the ratio, and a
 table lookup inverts f.
 
 One signaling slot is divided into sub-slots, one transmitting link per
-sub-slot, so a slot needs at least as many sub-slots as links.
+sub-slot.
 
 The two-burst formula is written once, over arrays: encode_powers maps gains
 to transmit power pairs and decode_levels maps received power pairs back to
@@ -19,6 +19,9 @@ decode are thin wrappers over the same two functions.
 
 from dataclasses import dataclass
 import numpy as np
+
+# a received ratio s2/s1 above 1 + RATIO_TOL cannot come from a valid pair
+RATIO_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -39,11 +42,6 @@ class QuantizationTable:
     def quantize(self, g: float) -> float:
         """Smallest level at or above g, clamped to the extremes."""
         return float(self.gain_levels[self.level_index(g)])
-
-    def save(self, path):
-        # two-column text dump for inspection
-        np.savetxt(path, np.column_stack([self.gain_levels, self.f_values]),
-                   header="gain_level f_value")
 
 
 @dataclass(frozen=True)
@@ -102,21 +100,22 @@ def encode_powers(gains, table: QuantizationTable, p0_mw: float):
     return p0_mw, p0_mw * table.f_values[table.level_index(gains)]
 
 
-def decode_levels(s1, s2, table: QuantizationTable, ratio_tol: float = 0.1):
+def decode_levels(s1, s2, table: QuantizationTable):
     """Recover the announced gain levels from arrays of received burst powers.
 
     The power ratio s2/s1 equals f(level) regardless of the propagation
     gain; the nearest table entry in f-space wins, the lowest index on ties.
-    Ratios outside (0, 1 + ratio_tol] cannot come from a valid pair and raise.
+    Received powers must be finite and positive, and ratios outside
+    (0, 1 + RATIO_TOL] cannot come from a valid pair; both raise.
     """
     s1 = np.asarray(s1, dtype=float)
     s2 = np.asarray(s2, dtype=float)
-    if np.any(s1 <= 0.0) or np.any(s2 <= 0.0):
-        raise ValueError("received powers must be positive")
+    if not (np.all((s1 > 0.0) & (s1 < np.inf)) and np.all((s2 > 0.0) & (s2 < np.inf))):
+        raise ValueError("received powers must be finite and positive")
     ratio = s2 / s1
-    if np.any(ratio > 1.0 + ratio_tol):
+    if np.any(ratio > 1.0 + RATIO_TOL):
         raise ValueError(f"malformed signal pair, ratio {ratio.max():.4g} "
-                         f"outside (0, {1 + ratio_tol:.2f}]")
+                         f"outside (0, {1 + RATIO_TOL:.2f}]")
     idx = np.argmin(np.abs(table.f_values - ratio[..., None]), axis=-1)
     return table.gain_levels[idx]
 
@@ -127,14 +126,12 @@ def encode(g: float, table: QuantizationTable, p0_mw: float):
     return tx1, float(tx2)
 
 
-def decode(sig: SignalPair, table: QuantizationTable, ratio_tol: float = 0.1) -> float:
+def decode(sig: SignalPair, table: QuantizationTable) -> float:
     """Recover the announced gain level from one received pair (see decode_levels)."""
-    return float(decode_levels(sig.s1, sig.s2, table, ratio_tol))
+    return float(decode_levels(sig.s1, sig.s2, table))
 
 
-def run_signaling_slot(realization, table: QuantizationTable, p0_mw: float,
-                       p_loss: float = 0.0, rng=None, loss_mask=None,
-                       num_subslots=None):
+def run_signaling_slot(realization, table: QuantizationTable, p0_mw: float, loss_mask=None):
     """Simulate one full signaling slot and return every receiver's view.
 
     Links broadcast sequentially in index order.  Receiver j hears sender i on
@@ -147,33 +144,18 @@ def run_signaling_slot(realization, table: QuantizationTable, p0_mw: float,
     heard in one decode_levels call, so the work is I array passes instead
     of I*I*K scalar decodes, and no temporary grows past (I*K, levels).
 
-    Losses: either pass an explicit (I, I, K) boolean loss_mask (True =
-    erased), or a probability p_loss for independent per-(sender, receiver,
-    tone) erasures drawn from rng.  The mask form lets callers hold losses
-    fixed across slots to model persistent propagation failures.
+    Losses: loss_mask is an (I, I, K) boolean array, True where the
+    (sender, receiver, tone) broadcast is erased; None means lossless.  The
+    caller draws it, so it can hold losses fixed across slots to model
+    persistent propagation failures.
     """
     I, K = realization.num_links, realization.num_tones
-    if num_subslots is None:
-        num_subslots = I
-    if num_subslots < I:
-        raise ValueError(f"{num_subslots} sub-slots cannot carry {I} sequential broadcasts")
-
-    if loss_mask is None:
-        if p_loss < 0.0 or p_loss > 1.0:
-            raise ValueError("p_loss must be in [0, 1]")
-        if p_loss > 0.0:
-            if rng is None:
-                raise ValueError("p_loss > 0 needs an rng")
-            loss_mask = rng.random((I, I, K)) < p_loss
-        else:
-            loss_mask = np.zeros((I, I, K), dtype=bool)
-    else:
-        loss_mask = np.asarray(loss_mask, dtype=bool)
+    lost = np.zeros((I, I, K), dtype=bool) if loss_mask is None else np.asarray(loss_mask, dtype=bool)
 
     tx1, tx2 = encode_powers(realization.direct_gain, table, p0_mw)
     views = []
     for j in range(I):
-        missing = loss_mask[:, j, :].copy()
+        missing = lost[:, j, :].copy()
         heard = ~missing
         h = realization.cross_gain[:, j, :][heard]
         gains = np.zeros((I, K))

@@ -17,7 +17,7 @@ O(I K^2) for a whole assignment.
 
 import numpy as np
 
-from .tssolver import POWER_MODES, TSProblem, Allocation
+from .tssolver import TSProblem, Allocation
 
 
 def marginal_rate(theta: float, budget: float, gains, acs, cta: int) -> float:

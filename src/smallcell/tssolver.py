@@ -21,6 +21,8 @@ LAM_FLOOR = 1e-12  # evaluation floor, keeps the log bid finite at lam -> 0
 # strongest tone's floor, since budget + 1/g would round to 1/g
 WATER_FILL_MIN_SNR = 1e-6
 POWER_MODES = ("equal", "waterfill")
+# subgradient step alpha(t) = a / (b + t): square summable but not summable
+STEP_SCHEDULE = (1.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -28,8 +30,8 @@ class TSProblem:
     """Gains, weights and budgets of one scheduling instance.
 
     gains may contain zeros (a zero row entry models a tone the link knows
-    nothing about and will never claim); weights and budgets are strictly
-    positive.
+    nothing about and will never claim); weights and budgets are finite and
+    strictly positive.
     """
 
     gains: np.ndarray     # (I, K), 1/mW, >= 0
@@ -47,8 +49,8 @@ class TSProblem:
             raise ValueError("shape mismatch between gains, weights, budgets")
         if np.any(~np.isfinite(g)) or np.any(g < 0.0):
             raise ValueError("gains must be finite and non-negative")
-        if np.any(w <= 0.0) or np.any(b <= 0.0):
-            raise ValueError("weights and budgets must be strictly positive")
+        if not (np.all((w > 0.0) & (w < np.inf)) and np.all((b > 0.0) & (b < np.inf))):
+            raise ValueError("weights and budgets must be finite and strictly positive")
 
     @property
     def num_links(self) -> int:
@@ -57,19 +59,6 @@ class TSProblem:
     @property
     def num_tones(self) -> int:
         return self.gains.shape[1]
-
-
-@dataclass
-class DualIterate:
-    """Snapshot of one subgradient iteration."""
-
-    multipliers: np.ndarray    # (I,) lam, 1/mW units of price
-    tone_price: np.ndarray     # (K,) per-tone max score
-    scores: np.ndarray         # (I, K) all link bids
-    dual_value: float
-    subgradient: np.ndarray    # (I,) budget minus power the link would draw
-    step: float
-    iteration: int
 
 
 @dataclass
@@ -91,26 +80,37 @@ class Allocation:
     def from_sets(cls, problem: TSProblem, sets, power_mode: str = "waterfill") -> "Allocation":
         """The power phase: link i takes every tone of sets[i] at full share.
 
-        power_mode "equal" splits each budget evenly over the link's tones;
-        "waterfill" water-fills it over the positive-gain ones, and a
-        zero-gain tone keeps its share but gets no power.  Sets are used in
-        the given order, since water_fill's rounding fix-up sums in input
-        order.  Scored by from_power.
+        Each link's budget is split over its set by split_power; scored by
+        from_power.
         """
-        if power_mode not in POWER_MODES:
-            raise ValueError(f"unknown power_mode {power_mode!r}, expected one of {POWER_MODES}")
         share = np.zeros(problem.gains.shape)
         power = np.zeros(problem.gains.shape)
         for i, tones in enumerate(sets):
             tones = np.asarray(tones, dtype=int)
             share[i, tones] = 1.0
-            if power_mode == "equal":
-                power[i, tones] = problem.budgets[i] / max(tones.size, 1)
-                continue
-            wet = tones[problem.gains[i, tones] > 0.0]
-            if wet.size:
-                power[i, wet] = water_fill(problem.gains[i, wet], float(problem.budgets[i]))
+            power[i] = split_power(problem.gains[i], tones, problem.budgets[i], power_mode)
         return cls.from_power(problem, share, power)
+
+
+def split_power(gains, tones, budget, power_mode: str) -> np.ndarray:
+    """One link's power row: its budget split over the given tones.
+
+    power_mode "equal" splits the budget evenly over the tones; "waterfill"
+    water-fills it over the positive-gain ones, and a zero-gain tone gets no
+    power.  Tones are used in the given order, since water_fill's rounding
+    fix-up sums in input order.
+    """
+    if power_mode not in POWER_MODES:
+        raise ValueError(f"unknown power_mode {power_mode!r}, expected one of {POWER_MODES}")
+    row = np.zeros(len(gains))
+    tones = np.asarray(tones, dtype=int)
+    if power_mode == "equal":
+        row[tones] = budget / max(tones.size, 1)
+        return row
+    wet = tones[gains[tones] > 0.0]
+    if wet.size:
+        row[wet] = water_fill(gains[wet], float(budget))
+    return row
 
 
 @dataclass
@@ -119,7 +119,6 @@ class SubgradientResult:
     best_multipliers: np.ndarray
     iterations: int
     converged: bool
-    final: DualIterate
     dual_trace: np.ndarray
     best_trace: np.ndarray
     step_trace: np.ndarray
@@ -173,7 +172,7 @@ def power_density(problem: TSProblem, lam) -> np.ndarray:
 
 
 def _dual_terms(problem: TSProblem, lam):
-    """Scores, densities, per-tone winners, dual value and subgradient."""
+    """Dual value, subgradient and per-tone winners at lam (see dual_value)."""
     lam_e = np.maximum(lam, LAM_FLOOR)
     xi, dens = _bid(problem.weights[:, None], problem.gains, lam_e[:, None])
     winner = np.argmax(xi, axis=0)          # ties: lowest link index
@@ -181,7 +180,7 @@ def _dual_terms(problem: TSProblem, lam):
     value = float(xi[winner, cols].sum() + lam_e @ problem.budgets)
     drawn = np.bincount(winner, weights=dens[winner, cols], minlength=xi.shape[0])
     subgrad = problem.budgets - drawn
-    return xi, dens, winner, value, subgrad
+    return value, subgrad, winner
 
 
 def dual_value(problem: TSProblem, lam):
@@ -191,9 +190,7 @@ def dual_value(problem: TSProblem, lam):
     at full share, the subgradient is each link's unused budget (negative
     when the multiplier is too cheap and the link over-draws).
     """
-    lam = np.asarray(lam, dtype=float)
-    _, _, winner, value, subgrad = _dual_terms(problem, lam)
-    return value, subgrad, winner
+    return _dual_terms(problem, np.asarray(lam, dtype=float))
 
 
 def default_multipliers(problem: TSProblem) -> np.ndarray:
@@ -203,16 +200,15 @@ def default_multipliers(problem: TSProblem) -> np.ndarray:
     return np.maximum(lam0, LAM_FLOOR)
 
 
-def subgradient_solve(problem: TSProblem, schedule=(1.0, 10.0), max_iters: int = 10000,
-                      tol=1e-6) -> SubgradientResult:
+def subgradient_solve(problem: TSProblem, max_iters: int = 10000, tol=1e-6) -> SubgradientResult:
     """Minimize the dual by projected subgradient with diminishing steps.
 
     Starts from default_multipliers (lam0, clipped into the box below).
-    schedule (a, b) sets alpha(t) = a / (b + t), square summable but not
-    summable, and each link's step is additionally scaled by lam0_i /
-    budget_i so the update speed matches the natural size of its
-    multiplier; this is a plain subgradient method in per-link rescaled
-    coordinates and the recorded gap bound is computed in those coordinates.
+    STEP_SCHEDULE (a, b) sets alpha(t) = a / (b + t), and each link's step
+    is additionally scaled by lam0_i / budget_i so the update speed matches
+    the natural size of its multiplier; this is a plain subgradient method
+    in per-link rescaled coordinates and the recorded gap bound is computed
+    in those coordinates.
 
     Multipliers are kept in the box [1e-12, K * weight / budget]; the upper
     edge is a valid bound on the optimizer (a link charged more than that
@@ -228,9 +224,7 @@ def subgradient_solve(problem: TSProblem, schedule=(1.0, 10.0), max_iters: int =
     (R^2 + G^2 * sum alpha^2) / sum alpha with R the box diameter from the
     start point and G the largest observed (rescaled) subgradient norm.
     """
-    a, b = schedule
-    if a <= 0 or b <= 0:
-        raise ValueError("schedule constants must be positive")
+    a, b = STEP_SCHEDULE
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
 
@@ -256,7 +250,7 @@ def subgradient_solve(problem: TSProblem, schedule=(1.0, 10.0), max_iters: int =
     window = 100
 
     for t in range(1, max_iters + 1):
-        xi, dens, winner, value, subgrad = _dual_terms(problem, lam)
+        value, subgrad, _ = _dual_terms(problem, lam)
         if not np.isfinite(value):
             raise FloatingPointError(f"dual value became non-finite at iteration {t}")
         if value < best:
@@ -283,15 +277,11 @@ def subgradient_solve(problem: TSProblem, schedule=(1.0, 10.0), max_iters: int =
             break
         lam = np.clip(lam - alpha * scale * subgrad, LAM_FLOOR, lam_max)
 
-    # lam, xi, value, subgrad and alpha are those of the last evaluated iterate
-    final = DualIterate(multipliers=lam, tone_price=xi.max(axis=0), scores=xi,
-                        dual_value=value, subgradient=subgrad, step=alpha, iteration=t)
     return SubgradientResult(
         best_dual=best,
         best_multipliers=best_lam,
         iterations=t,
         converged=converged,
-        final=final,
         dual_trace=dual_tr[:t].copy(),
         best_trace=best_tr[:t].copy(),
         step_trace=step_tr[:t].copy(),
@@ -352,7 +342,7 @@ def recover_primal(problem: TSProblem, lam) -> Allocation:
     its budget over the tones it won (Allocation.from_sets).  Feasible by
     construction; its objective lower-bounds the time-sharing optimum.
     """
-    _, _, winner, _, _ = _dual_terms(problem, np.asarray(lam, dtype=float))
+    _, _, winner = _dual_terms(problem, np.asarray(lam, dtype=float))
     return Allocation.from_sets(problem, [np.flatnonzero(winner == i)
                                           for i in range(problem.num_links)])
 

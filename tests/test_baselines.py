@@ -113,8 +113,6 @@ class TestIwfa:
         real = random_realization(np.random.default_rng(7))
         with pytest.raises(ValueError):
             iwfa_solve(real, np.ones(3), max_rounds=0)
-        with pytest.raises(ValueError):
-            iwfa_solve(real, np.ones(3), eps=0.0)
 
 
 class TestOracle:

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,14 @@ class TestConfigFile:
         # unchecked, the first two crash mid-draw and the others silently
         # lower the path loss
         with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+            cfg_for(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(ScenarioConfig) if f.type is float])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_fields_rejected(self, field, value):
+        # unchecked, a NaN max_power_dbm reports 0 bit/s and the others fail
+        # later, in realize_channels or TSProblem
+        with pytest.raises(ValueError, match=field):
             cfg_for(**{field: value}).validate()
 
     def test_zero_propagation_terms_accepted(self):

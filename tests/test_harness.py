@@ -165,6 +165,33 @@ class TestDistributedSlots:
         with pytest.raises(ValueError, match="power_mode"):
             run_distributed_slots(cfg, num_slots=1, power_mode="greedy")
 
+    def test_loss_fraction_matches_probability(self):
+        # each (sender, receiver, tone) broadcast is erased with probability p_loss
+        lost, total = 0, 0
+        for seed in range(40):
+            states = run_distributed_slots(small_cfg(num_links=8, num_tones=64), num_slots=1,
+                                           p_loss=0.1, master_seed=seed)
+            for view in states[0].views:
+                lost += int(view.missing.sum())
+                total += view.missing.size
+        assert lost / total == pytest.approx(0.1, abs=0.01)
+
+    def test_waterfill_at_most_once_per_reschedule(self, monkeypatch):
+        # a re-schedule splits one link's budget, never every link's
+        import smallcell.harness as harness
+        import smallcell.tssolver as tssolver
+        calls = {"water_fill": 0, "_schedule_link": 0}
+        for module, name in ((tssolver, "water_fill"), (harness, "_schedule_link")):
+            def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        for seed in range(8):
+            run_distributed_slots(small_cfg(num_links=4, num_tones=10), num_slots=40, p_loss=0.1,
+                                  master_seed=seed, power_mode="waterfill")
+        assert calls["_schedule_link"] > 8 * 4       # give-ups made links re-schedule
+        assert calls["water_fill"] <= calls["_schedule_link"]
+
     @staticmethod
     def rescheduled_every_slot(cfg, states, giveup_probability, master_seed, power_mode):
         """Reference slot loop: every link re-runs the greedy on its view in every slot."""
@@ -186,7 +213,7 @@ class TestDistributedSlots:
                         power[i, mine] = budgets[i] / len(mine)
                 else:
                     power[i] = soa_allocate(local, power_mode).power[i]
-                    mine = list(np.flatnonzero(power[i] > 0))
+                    mine = [k for k in assign_channels(local)[i] if power[i, k] > 0]
                 claims.append(mine)
             collisions = [(k, [i for i in range(I) if k in claims[i]]) for k in range(K)
                           if sum(k in mine for mine in claims) >= 2]

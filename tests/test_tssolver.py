@@ -123,15 +123,17 @@ class TestSubgradientSolve:
             assert res.best_dual >= cp.value - 1e-6
             assert res.best_dual - cp.value <= 1e-3
 
-    def test_final_iterate_invariants(self):
+    def test_best_iterate_invariants(self):
         prob = random_problem(np.random.default_rng(4))
         res = subgradient_solve(prob, max_iters=200, tol=None)
-        it = res.final
-        assert np.all(it.multipliers >= LAM_FLOOR)
-        assert np.all(it.scores >= 0.0)
-        assert np.allclose(it.tone_price, it.scores.max(axis=0))
-        inactive = prob.weights[:, None] * prob.gains <= it.multipliers[:, None]
-        assert np.all(it.scores[inactive] == 0.0)
+        lam = res.best_multipliers
+        assert np.all(lam >= LAM_FLOOR)
+        assert np.all(lam <= prob.num_tones * prob.weights / prob.budgets)
+        scores = dual_score(prob.weights[:, None], prob.gains, lam[:, None])
+        assert np.all(scores >= 0.0)
+        inactive = prob.weights[:, None] * prob.gains <= lam[:, None]
+        assert np.all(scores[inactive] == 0.0)
+        assert dual_value(prob, lam)[0] == res.best_dual
 
     def test_winner_invariant_to_common_weight_scaling(self):
         prob = random_problem(np.random.default_rng(5))
@@ -152,8 +154,6 @@ class TestSubgradientSolve:
 
     def test_bad_arguments(self):
         prob = random_problem(np.random.default_rng(7))
-        with pytest.raises(ValueError):
-            subgradient_solve(prob, schedule=(0.0, 1.0))
         with pytest.raises(ValueError):
             subgradient_solve(prob, max_iters=0)
 
@@ -332,6 +332,14 @@ class TestProblemValidation:
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError):
             TSProblem(gains=[[1.0]], weights=[0.0], budgets=[1.0])
+
+    @pytest.mark.parametrize("weight, budget", [(1.0, np.nan), (1.0, np.inf), (np.nan, 1.0),
+                                                (np.inf, 1.0)])
+    def test_non_finite_weight_or_budget_rejected(self, weight, budget):
+        # unchecked, a NaN budget scores 0.0, an inf budget gives NaN powers
+        # and an inf weight an inf objective
+        with pytest.raises(ValueError, match="finite"):
+            TSProblem(gains=[[1.0, 2.0]], weights=[weight], budgets=[budget])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
