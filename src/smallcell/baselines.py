@@ -28,6 +28,7 @@ class InterferenceAllocation:
     rate: np.ndarray     # (I,) nats
     rounds: int
     converged: bool
+    delta_trace: np.ndarray  # (rounds,) largest |power change| of each round, mW
 
 
 def _interference(cross_gain: np.ndarray, power: np.ndarray) -> np.ndarray:
@@ -55,34 +56,40 @@ def iwfa_solve(realization, budgets, max_rounds: int = 200) -> InterferenceAlloc
     powers.  Starts from the interference-free water filling point.  Stops
     after a full round moves no power entry by IWFA_EPS_MW or more, or at
     max_rounds; running out of rounds sets converged=False and is not an
-    error.
+    error.  delta_trace holds each round's largest power move.  Budgets must
+    be one finite, positive value per link.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     budgets = np.asarray(budgets, dtype=float)
     cross = realization.cross_gain
-    I, K = realization.num_links, realization.num_tones
+    I = realization.num_links
+    if budgets.shape != (I,):
+        raise ValueError(f"budgets must have shape ({I},), one per link, got {budgets.shape}")
+    if not np.all((budgets > 0.0) & (budgets < np.inf)):
+        raise ValueError("budgets must be finite and strictly positive")
     noise = realization.noise_power_mw
-    own_gain = np.einsum("iik->ik", cross)
+    # per link: the gains from every transmitter into its receiver, its own
+    # direct gains and its budget
+    links = [(cross[:, i, :], cross[i, i, :], float(budgets[i])) for i in range(I)]
 
-    power = np.vstack([water_fill(own_gain[i] / noise, float(budgets[i])) for i in range(I)])
+    power = np.vstack([water_fill(direct / noise, budget) for _, direct, budget in links])
 
-    rounds = 0
+    deltas = []
     converged = False
     for _ in range(max_rounds):
-        rounds += 1
-        delta = 0.0
-        for i in range(I):
-            floor = noise + np.einsum("jk,jk->k", cross[:, i, :], power) - cross[i, i, :] * power[i]
-            new_p = water_fill(own_gain[i] / floor, float(budgets[i]))
-            delta = max(delta, float(np.max(np.abs(new_p - power[i]))))
-            power[i] = new_p
-        if delta < IWFA_EPS_MW:
+        before = power.copy()
+        for i, (incoming, direct, budget) in enumerate(links):
+            floor = noise + np.einsum("jk,jk->k", incoming, power) - direct * power[i]
+            power[i] = water_fill(direct / floor, budget)
+        deltas.append(float(np.abs(power - before).max()))
+        if deltas[-1] < IWFA_EPS_MW:
             converged = True
             break
 
     return InterferenceAllocation(power=power, rate=evaluate_concurrent(realization, power),
-                                  rounds=rounds, converged=converged)
+                                  rounds=len(deltas), converged=converged,
+                                  delta_trace=np.array(deltas))
 
 
 class OracleTooLarge(ValueError):

@@ -295,9 +295,11 @@ def water_fill(gains, budget: float) -> np.ndarray:
 
     The water level nu is solved exactly by sorting: take the m strongest
     tones, nu = (budget + sum of their inverse gains) / m, with m the largest
-    count keeping every taken tone above water.  Zero-gain entries never get
-    power; if no tone has positive gain there is nothing to fill and the
-    call raises.
+    count keeping every taken tone above water.  m is found by stepping back
+    from the weakest tone until the level clears its floor, one step per dry
+    tone.  Zero-gain entries never get power; if no tone has positive gain
+    there is nothing to fill and the call raises.  So do gains that are not
+    1-D or contain NaN, and a budget that is not finite and positive.
 
     When budget times the strongest gain is below WATER_FILL_MIN_SNR, the
     budget is lost to rounding next to 1/g (or 1/g overflows), so the floors
@@ -307,14 +309,22 @@ def water_fill(gains, budget: float) -> np.ndarray:
     (that tone stays dry).
     """
     g = np.atleast_1d(np.asarray(gains, dtype=float))
+    if g.ndim != 1:
+        raise ValueError(f"gains must be 1-D, got shape {g.shape}")
     if g.size == 0:
         raise ValueError("empty gain list")
-    if budget <= 0.0:
-        raise ValueError("budget must be positive")
-    usable = np.where(g > 0.0)[0]
-    if usable.size == 0:
-        raise ValueError("no tone with positive gain")
-    gu = g[usable]
+    budget = float(budget)
+    if not 0.0 < budget < np.inf:
+        raise ValueError(f"budget must be finite and positive, got {budget}")
+    if g.min() > 0.0:          # every tone usable; NaN fails the test
+        usable, gu = None, g
+    else:
+        if np.isnan(g).any():
+            raise ValueError("gains must not be NaN")
+        usable = np.flatnonzero(g > 0.0)
+        if usable.size == 0:
+            raise ValueError("no tone with positive gain")
+        gu = g[usable]
     gmax = gu.max()
     if budget * gmax >= WATER_FILL_MIN_SNR:
         floors = 1.0 / gu
@@ -323,15 +333,21 @@ def water_fill(gains, budget: float) -> np.ndarray:
         # stays dry, so capping there changes nothing and bounds the sums
         with np.errstate(over="ignore"):
             floors = np.minimum((gmax / gu - 1.0) / gmax, budget)
-    order = np.argsort(floors, kind="stable")
+    order = floors.argsort(kind="stable")
     floors_sorted = floors[order]
-    counts = np.arange(1, usable.size + 1)
-    nu_candidates = (budget + np.cumsum(floors_sorted)) / counts
-    m = int(np.where(nu_candidates > floors_sorted)[0][-1]) + 1
+    floor_list = floors_sorted.tolist()
+    cum = floors_sorted.cumsum().tolist()
+    # the strongest tone always clears its floor (budget > 0 is not lost to
+    # rounding next to it), so the scan stops at m >= 1
+    m = len(floor_list)
+    while not (budget + cum[m - 1]) / m > floor_list[m - 1]:
+        m -= 1
+    if usable is not None:
+        order = usable[order]
     out = np.zeros(g.shape)
-    out[usable[order[:m]]] = nu_candidates[m - 1] - floors_sorted[:m]
+    out[order[:m]] = (budget + cum[m - 1]) / m - floors_sorted[:m]
     # strongest tone absorbs the summation rounding so the budget binds exactly
-    out[usable[order[0]]] += budget - out.sum()
+    out[order[0]] += budget - out.sum()
     return out
 
 

@@ -3,12 +3,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from smallcell.channel import ChannelRealization
-from smallcell.tssolver import TSProblem, water_fill
+from smallcell.channel import ChannelRealization, ScenarioConfig
+from smallcell.harness import _trial_realization
+from smallcell.tssolver import TSProblem, water_fill, WATER_FILL_MIN_SNR
 from smallcell.soa import soa_allocate
 from smallcell.baselines import (InterferenceAllocation, evaluate_concurrent,
                                  iwfa_solve, oracle_orthogonal,
-                                 ORACLE_MAX_ASSIGNMENTS)
+                                 ORACLE_MAX_ASSIGNMENTS, IWFA_EPS_MW)
 
 
 def make_realization(cross, noise=1.0):
@@ -25,6 +26,11 @@ def random_realization(rng, num_links=3, num_tones=4, cross_scale=0.1):
     idx = np.arange(num_links)
     cross[idx, idx, :] = rng.lognormal(0.0, 1.0, (num_links, num_tones))
     return make_realization(cross)
+
+
+# the first three passes of the benchmark's sweep pool: links 2-10 at 10 tones
+SWEEP_POOL = [ScenarioConfig(rng_seed=seed, num_links=n, num_tones=10)
+              for seed in (777, 778, 779) for n in range(2, 11)]
 
 
 class TestEvaluateConcurrent:
@@ -113,6 +119,86 @@ class TestIwfa:
         real = random_realization(np.random.default_rng(7))
         with pytest.raises(ValueError):
             iwfa_solve(real, np.ones(3), max_rounds=0)
+
+    @pytest.mark.parametrize("budgets,match", [
+        (np.ones(2), "shape"), (np.ones(4), "shape"), (np.ones((3, 1)), "shape"), (1.0, "shape"),
+        ([1.0, np.nan, 1.0], "finite"), ([1.0, np.inf, 1.0], "finite"),
+        ([1.0, 0.0, 1.0], "positive"), ([1.0, 1.0, -2.0], "positive")])
+    def test_bad_budgets_rejected_before_any_round(self, budgets, match):
+        real = random_realization(np.random.default_rng(7))
+        with pytest.raises(ValueError, match=match):
+            iwfa_solve(real, budgets)
+
+    def test_delta_trace_explains_the_stop(self):
+        cases = [(random_realization(np.random.default_rng(seed), cross_scale=scale), np.ones(3), rounds)
+                 for seed, scale, rounds in [(3, 0.5, 1), (4, 0.2, 200), (5, 0.8, 3)]]
+        cases += [(_trial_realization(cfg, cfg.rng_seed, 0), np.full(cfg.num_links, cfg.max_power_mw), 200)
+                  for cfg in SWEEP_POOL[9:18]]
+        outcomes = set()
+        for real, budgets, max_rounds in cases:
+            out = iwfa_solve(real, budgets, max_rounds=max_rounds)
+            trace = out.delta_trace
+            assert trace.shape == (out.rounds,)
+            assert (trace[-1] < IWFA_EPS_MW) == out.converged
+            assert np.all(trace[:-1] >= IWFA_EPS_MW)
+            outcomes.add((out.converged, out.rounds == max_rounds))
+        # both stops occur: settling early and running out of rounds
+        assert {(True, False), (False, True)} <= outcomes
+
+
+def classic_water_fill(gains, budget):
+    """water_fill as a vectorized level search over every count of wet tones."""
+    g = np.atleast_1d(np.asarray(gains, dtype=float))
+    usable = np.where(g > 0.0)[0]
+    gu = g[usable]
+    gmax = gu.max()
+    if budget * gmax >= WATER_FILL_MIN_SNR:
+        floors = 1.0 / gu
+    else:
+        with np.errstate(over="ignore"):
+            floors = np.minimum((gmax / gu - 1.0) / gmax, budget)
+    order = np.argsort(floors, kind="stable")
+    floors_sorted = floors[order]
+    nu_candidates = (budget + np.cumsum(floors_sorted)) / np.arange(1, usable.size + 1)
+    m = int(np.where(nu_candidates > floors_sorted)[0][-1]) + 1
+    out = np.zeros(g.shape)
+    out[usable[order[:m]]] = nu_candidates[m - 1] - floors_sorted[:m]
+    out[usable[order[0]]] += budget - out.sum()
+    return out
+
+
+def reference_iwfa(realization, budgets, max_rounds=200):
+    """IWFA with the running per-link delta and classic_water_fill: (power, rounds, converged)."""
+    cross = realization.cross_gain
+    noise = realization.noise_power_mw
+    own_gain = np.einsum("iik->ik", cross)
+    power = np.vstack([classic_water_fill(own_gain[i] / noise, float(budgets[i]))
+                       for i in range(realization.num_links)])
+    for rounds in range(1, max_rounds + 1):
+        delta = 0.0
+        for i in range(realization.num_links):
+            floor = noise + np.einsum("jk,jk->k", cross[:, i, :], power) - cross[i, i, :] * power[i]
+            new_p = classic_water_fill(own_gain[i] / floor, float(budgets[i]))
+            delta = max(delta, float(np.max(np.abs(new_p - power[i]))))
+            power[i] = new_p
+        if delta < IWFA_EPS_MW:
+            return power, rounds, True
+    return power, max_rounds, False
+
+
+class TestIwfaMatchesReference:
+    def test_sweep_pool_bit_identical(self):
+        capped = 0
+        for cfg in SWEEP_POOL + [ScenarioConfig(rng_seed=5, num_links=10, num_tones=64)]:
+            real = _trial_realization(cfg, cfg.rng_seed, 0)
+            budgets = np.full(cfg.num_links, cfg.max_power_mw)
+            power, rounds, converged = reference_iwfa(real, budgets)
+            out = iwfa_solve(real, budgets)
+            assert out.power.tobytes() == power.tobytes()
+            assert out.rate.tobytes() == evaluate_concurrent(real, power).tobytes()
+            assert (out.rounds, out.converged) == (rounds, converged)
+            capped += not converged
+        assert capped > 0
 
 
 class TestOracle:

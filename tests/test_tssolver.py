@@ -304,17 +304,38 @@ class TestWaterFill:
 
     def test_normal_gains_use_the_classic_formula_exactly(self):
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            g = rng.lognormal(0.0, 3.0, int(rng.integers(1, 20)))
+        rows = [rng.lognormal(0.0, 3.0, int(rng.integers(1, 20))) for _ in range(50)]
+        rows += [rng.lognormal(0.0, 3.0, k) * (rng.random(k) < 0.7) for k in (1, 3, 10, 64, 256)]
+        rows += [rng.integers(0, 4, k).astype(float) for k in (2, 10, 64, 256)]
+        rows += [rng.integers(1, 3, k).astype(float) for k in (10, 64, 256)]
+        rows += [rng.lognormal(0.0, 3.0, k) for k in (64, 64, 256, 256)]
+        for g in rows:
+            if not np.any(g > 0.0):
+                g[0] = 1.0
             budget = float(rng.choice([0.01, 1.0, 100.0]))
-            order = np.argsort(1.0 / g, kind="stable")
-            inv = 1.0 / g[order]
-            nu = (budget + np.cumsum(inv)) / np.arange(1, g.size + 1)
+            usable = np.flatnonzero(g > 0.0)
+            order = np.argsort(1.0 / g[usable], kind="stable")
+            inv = 1.0 / g[usable][order]
+            nu = (budget + np.cumsum(inv)) / np.arange(1, usable.size + 1)
             m = int(np.flatnonzero(nu > inv)[-1]) + 1
             expected = np.zeros_like(g)
-            expected[order[:m]] = nu[m - 1] - inv[:m]
-            expected[order[0]] += budget - expected.sum()
-            assert np.array_equal(water_fill(g, budget), expected)
+            expected[usable[order[:m]]] = nu[m - 1] - inv[:m]
+            expected[usable[order[0]]] += budget - expected.sum()
+            assert water_fill(g, budget).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("budget", [np.nan, np.inf, -np.inf, -1.0])
+    def test_budget_not_finite_and_positive_raises(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            water_fill([1.0, 2.0], budget)
+
+    @pytest.mark.parametrize("gains", [[np.nan, 1.0], [1.0, 0.0, np.nan], [np.nan]])
+    def test_nan_gain_raises(self, gains):
+        with pytest.raises(ValueError, match="NaN"):
+            water_fill(gains, 1.0)
+
+    def test_gains_not_1d_raise(self):
+        with pytest.raises(ValueError, match="1-D"):
+            water_fill(np.ones((2, 3)), 1.0)
 
     def test_subnormal_gain_problem_solves(self):
         prob = TSProblem(gains=[[1e-320]], weights=[1.0], budgets=[1.0])
