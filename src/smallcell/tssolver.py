@@ -9,11 +9,18 @@ tone goes to the highest bidder, and a projected subgradient update drives
 the multipliers toward the dual optimum.  The relaxation is tight, so the
 best dual value is also the time-sharing optimum.
 
+One per-problem kernel (_dual_kernel) evaluates the dual: it is built once
+from the problem's gains and weights and maps multipliers to the dual value,
+its subgradient and the per-tone winners.  subgradient_solve calls it every
+iteration; dual_value and recover_primal call it once.
+
 Rates here are in natural-log units per tone use ("nats"); multiply by
 tone_bandwidth / ln 2 for bits/s.  Powers are mW, gains 1/mW.
 """
 
 from dataclasses import dataclass
+import math
+
 import numpy as np
 
 LAM_FLOOR = 1e-12  # evaluation floor, keeps the log bid finite at lam -> 0
@@ -119,78 +126,51 @@ class SubgradientResult:
     best_multipliers: np.ndarray
     iterations: int
     converged: bool
-    dual_trace: np.ndarray
-    best_trace: np.ndarray
-    step_trace: np.ndarray
-    subgrad_norm_trace: np.ndarray
+    best_trace: np.ndarray     # running best dual value, read by the early stop
     bound_trace: np.ndarray    # running certified gap (R^2 + G^2 sum a^2) / sum a
 
 
-def _bid(theta, g, lam):
-    """Bid xi and power density d of weight theta, gain g at floored multiplier lam.
+def _dual_kernel(problem: TSProblem):
+    """Dual evaluator of one problem: lam -> (value, subgradient, winner).
 
-    A link is active on a tone when theta*g > lam; there d = theta/lam - 1/g
-    and xi = theta*(log(theta*g/lam) - 1) + lam/g.  Inactive entries get 0.
+    Link i bids xi = max over power density d >= 0 of
+    theta*log(1 + g*d) - lam*d for each tone: with d = theta/lam - 1/g this
+    is theta*(log(theta*g/lam) - 1) + lam/g where theta*g > lam, and 0
+    where the link would not power the tone.  Each tone goes to its highest
+    bidder (lowest link index on ties), the winners draw density d, and the
+    subgradient is each link's budget minus what it draws.  lam must already
+    be at least LAM_FLOOR, so no entry divides by zero.
     """
-    tg = theta * g
-    active = tg > lam
-    g_safe = np.where(g > 0, g, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(active, tg / lam, 1.0)
-        xi = np.where(active, theta * (np.log(ratio) - 1.0) + lam / g_safe, 0.0)
-        d = np.where(active, (ratio - 1.0) / g_safe, 0.0)
-    return xi, d
+    theta = problem.weights[:, None]
+    gains = problem.gains
+    tg = theta * gains
+    g_safe = np.where(gains > 0.0, gains, 1.0)
+    cols = np.arange(gains.shape[1])
+    budgets = problem.budgets
+    num_links = gains.shape[0]
 
+    def dual(lam):
+        lam_c = lam[:, None]
+        # tg <= lam exactly where the quotient rounds to at most 1
+        ratio = np.maximum(tg / lam_c, 1.0)
+        xi = np.where(tg > lam_c, theta * (np.log(ratio) - 1.0) + lam_c / g_safe, 0.0)
+        winner = xi.argmax(axis=0)
+        value = float(xi[winner, cols].sum() + lam @ budgets)
+        # an inactive winner has ratio 1 and draws nothing
+        drawn = (ratio[winner, cols] - 1.0) / g_safe[winner, cols]
+        return value, budgets - np.bincount(winner, weights=drawn, minlength=num_links), winner
 
-def dual_score(theta, g, lam):
-    """Best dual bid of a link for one tone at multiplier lam.
-
-    The bid is max over power density d >= 0 of theta*log(1 + g*d) - lam*d,
-    the weighted rate the link can buy on the tone minus the price of the
-    power it spends, per unit of time share.  The maximizer is
-    d = theta/lam - 1/g, giving theta*(log(theta*g/lam) - 1) + lam/g when
-    theta*g > lam and 0 otherwise (the link bids nothing on a tone it would
-    not power).  Continuous in lam, including at the threshold.
-
-    lam below 1e-12 is floored there, which caps the otherwise divergent
-    log; the solver never feeds multipliers below the floor.
-    """
-    lam = np.maximum(np.asarray(lam, dtype=float), LAM_FLOOR)
-    out, _ = _bid(np.asarray(theta, dtype=float), np.asarray(g, dtype=float), lam)
-    return float(out) if out.ndim == 0 else out
-
-
-def power_density(problem: TSProblem, lam) -> np.ndarray:
-    """Per-unit-share power each link would pour into each tone at lam.
-
-    d[i,k] = (1/g) * (theta*g/lam - 1) clamped at zero; the actual power on
-    a tone is the share times this density.
-    """
-    lam_e = np.maximum(np.asarray(lam, dtype=float), LAM_FLOOR)
-    _, d = _bid(problem.weights[:, None], problem.gains, lam_e[:, None])
-    return d
-
-
-def _dual_terms(problem: TSProblem, lam):
-    """Dual value, subgradient and per-tone winners at lam (see dual_value)."""
-    lam_e = np.maximum(lam, LAM_FLOOR)
-    xi, dens = _bid(problem.weights[:, None], problem.gains, lam_e[:, None])
-    winner = np.argmax(xi, axis=0)          # ties: lowest link index
-    cols = np.arange(xi.shape[1])
-    value = float(xi[winner, cols].sum() + lam_e @ problem.budgets)
-    drawn = np.bincount(winner, weights=dens[winner, cols], minlength=xi.shape[0])
-    subgrad = problem.budgets - drawn
-    return value, subgrad, winner
+    return dual
 
 
 def dual_value(problem: TSProblem, lam):
-    """Dual objective at lam.
+    """Dual objective at lam, floored at LAM_FLOOR.
 
     Returns (value, subgradient, winner): the per-tone winner takes the tone
     at full share, the subgradient is each link's unused budget (negative
     when the multiplier is too cheap and the link over-draws).
     """
-    return _dual_terms(problem, np.asarray(lam, dtype=float))
+    return _dual_kernel(problem)(np.maximum(np.asarray(lam, dtype=float), LAM_FLOOR))
 
 
 def default_multipliers(problem: TSProblem) -> np.ndarray:
@@ -213,36 +193,40 @@ def subgradient_solve(problem: TSProblem, max_iters: int = 10000, tol=1e-6) -> S
     Multipliers are kept in the box [1e-12, K * weight / budget]; the upper
     edge is a valid bound on the optimizer (a link charged more than that
     could never spend its whole budget), and clipping there keeps a stray
-    overshoot from stalling the run.
+    overshoot from stalling the run.  An upper edge below 1e-12 is raised
+    to it, so the box is never empty.
 
     Early stop: when the best dual value improves by less than tol (relative)
     over a 100-iteration window.  tol=None disables the check and runs all
     max_iters iterations.
 
+    The dual is evaluated by one per-problem kernel (_dual_kernel), built
+    once with the constants of the bids; the loop feeds it multipliers that
+    are already inside the box.
+
     Returns the best (lowest) dual value seen, the multipliers that achieved
-    it, and per-iteration traces including a certified suboptimality bound
-    (R^2 + G^2 * sum alpha^2) / sum alpha with R the box diameter from the
-    start point and G the largest observed (rescaled) subgradient norm.
+    it, and two per-iteration traces: best_trace, the running best dual
+    value that the early stop reads, and bound_trace, a certified
+    suboptimality bound (R^2 + G^2 * sum alpha^2) / sum alpha with R the box
+    diameter from the start point and G the largest observed (rescaled)
+    subgradient norm.
     """
     a, b = STEP_SCHEDULE
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
 
-    lam_max = problem.num_tones * problem.weights / problem.budgets
-    lam = np.clip(default_multipliers(problem), LAM_FLOOR, lam_max)
+    dual = _dual_kernel(problem)
+    lam_max = np.maximum(problem.num_tones * problem.weights / problem.budgets, LAM_FLOOR)
+    lam = np.minimum(default_multipliers(problem), lam_max)
     scale = lam / problem.budgets
 
     # distance bound to any optimizer inside the box, in rescaled coordinates
     radius2 = float(np.sum(np.maximum(lam, lam_max - lam) ** 2 / scale))
 
-    dual_tr = np.empty(max_iters)
-    best_tr = np.empty(max_iters)
-    step_tr = np.empty(max_iters)
-    norm_tr = np.empty(max_iters)
-    bound_tr = np.empty(max_iters)
-
-    best = np.inf
-    best_lam = lam.copy()
+    best_tr = []
+    bound_tr = []
+    best = math.inf
+    best_lam = lam
     gmax2 = 0.0
     sum_a = 0.0
     sum_a2 = 0.0
@@ -250,44 +234,32 @@ def subgradient_solve(problem: TSProblem, max_iters: int = 10000, tol=1e-6) -> S
     window = 100
 
     for t in range(1, max_iters + 1):
-        value, subgrad, _ = _dual_terms(problem, lam)
-        if not np.isfinite(value):
+        value, subgrad, _ = dual(lam)
+        if not math.isfinite(value):
             raise FloatingPointError(f"dual value became non-finite at iteration {t}")
         if value < best:
             best = value
-            best_lam = lam.copy()
+            best_lam = lam      # lam is rebound below, never written in place
 
         alpha = a / (b + t)
         sum_a += alpha
         sum_a2 += alpha * alpha
-        gmax2 = max(gmax2, float(np.sum(scale * subgrad ** 2)))
-        idx = t - 1
-        dual_tr[idx] = value
-        best_tr[idx] = best
-        step_tr[idx] = alpha
-        norm_tr[idx] = float(np.linalg.norm(subgrad))
-        bound_tr[idx] = (radius2 + gmax2 * sum_a2) / sum_a
+        gmax2 = max(gmax2, float((scale * subgrad ** 2).sum()))
+        best_tr.append(best)
+        bound_tr.append((radius2 + gmax2 * sum_a2) / sum_a)
 
         if tol is not None and t > window:
-            improve = best_tr[idx - window] - best
+            improve = best_tr[-1 - window] - best
             if improve <= tol * max(abs(best), 1e-30):
                 converged = True
                 break
         if t == max_iters:
             break
-        lam = np.clip(lam - alpha * scale * subgrad, LAM_FLOOR, lam_max)
+        lam = np.minimum(np.maximum(lam - alpha * scale * subgrad, LAM_FLOOR), lam_max)
 
-    return SubgradientResult(
-        best_dual=best,
-        best_multipliers=best_lam,
-        iterations=t,
-        converged=converged,
-        dual_trace=dual_tr[:t].copy(),
-        best_trace=best_tr[:t].copy(),
-        step_trace=step_tr[:t].copy(),
-        subgrad_norm_trace=norm_tr[:t].copy(),
-        bound_trace=bound_tr[:t].copy(),
-    )
+    return SubgradientResult(best_dual=best, best_multipliers=best_lam, iterations=t,
+                             converged=converged, best_trace=np.array(best_tr),
+                             bound_trace=np.array(bound_tr))
 
 
 def water_fill(gains, budget: float) -> np.ndarray:
@@ -358,15 +330,7 @@ def recover_primal(problem: TSProblem, lam) -> Allocation:
     its budget over the tones it won (Allocation.from_sets).  Feasible by
     construction; its objective lower-bounds the time-sharing optimum.
     """
-    _, _, winner = _dual_terms(problem, np.asarray(lam, dtype=float))
+    _, _, winner = dual_value(problem, lam)
     return Allocation.from_sets(problem, [np.flatnonzero(winner == i)
                                           for i in range(problem.num_links)])
 
-
-def write_trace_csv(result: SubgradientResult, path):
-    """Dump the iteration trace for convergence plots."""
-    header = "t,dual_value,best_dual,subgrad_norm,alpha"
-    t = np.arange(1, result.iterations + 1)
-    data = np.column_stack([t, result.dual_trace, result.best_trace,
-                            result.subgrad_norm_trace, result.step_trace])
-    np.savetxt(path, data, delimiter=",", header=header, comments="")

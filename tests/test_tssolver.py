@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smallcell.tssolver import (TSProblem, Allocation, dual_score, power_density, dual_value,
-                                subgradient_solve, recover_primal, water_fill,
-                                default_multipliers, write_trace_csv, LAM_FLOOR)
+from smallcell.channel import ScenarioConfig
+from smallcell.harness import _trial_realization
+from smallcell.tssolver import (TSProblem, Allocation, dual_value, subgradient_solve,
+                                recover_primal, water_fill, default_multipliers, LAM_FLOOR)
 from smallcell.baselines import oracle_orthogonal
 from smallcell.soa import soa_allocate
 
@@ -15,45 +18,57 @@ def random_problem(rng, num_links=3, num_tones=4, gain_scale=1.0):
                      budgets=np.full(num_links, 2.0))
 
 
+def bid(theta, g, lam, budget=1.0):
+    """One link's dual bid for one tone: the 1x1 dual value less the priced budget.
+
+    dual_value floors lam at LAM_FLOOR, so the price is taken at the floored lam.
+    """
+    value, _, _ = dual_value(TSProblem(gains=[[g]], weights=[theta], budgets=[budget]), [lam])
+    return value - max(lam, LAM_FLOOR) * budget
+
+
+def density(g, lam):
+    """Power density a unit-weight link draws from one tone: budget 1 less the 1x1 subgradient."""
+    _, subgrad, _ = dual_value(TSProblem(gains=[[g]], weights=[1.0], budgets=[1.0]), [lam])
+    return 1.0 - subgrad[0]
+
+
 class TestDualScore:
     def test_reference_value(self):
         # max_d log(1 + e*d) - d  attained at d = 1 - 1/e, value 1/e
-        assert dual_score(1.0, np.e, 1.0) == pytest.approx(1.0 / np.e, rel=1e-12)
+        assert bid(1.0, np.e, 1.0) == pytest.approx(1.0 / np.e, rel=1e-12)
 
     def test_zero_at_threshold_and_below(self):
-        assert dual_score(1.0, 2.0, 2.0) == 0.0
-        assert dual_score(1.0, 2.0, 5.0) == 0.0
+        assert bid(1.0, 2.0, 2.0) == 0.0
+        assert bid(1.0, 2.0, 5.0) == 0.0
 
     def test_continuous_at_threshold(self):
         eps = 1e-9
-        assert dual_score(1.0, 2.0, 2.0 - eps) == pytest.approx(0.0, abs=1e-8)
+        assert bid(1.0, 2.0, 2.0 - eps) == pytest.approx(0.0, abs=1e-8)
 
     def test_floor_keeps_score_finite(self):
-        assert np.isfinite(dual_score(1.0, 1.0, 0.0))
+        assert np.isfinite(bid(1.0, 1.0, 0.0))
 
     def test_zero_gain_scores_zero(self):
-        assert dual_score(1.0, 0.0, 1e-6) == 0.0
+        assert bid(1.0, 0.0, 1e-6) == 0.0
 
     @settings(max_examples=200)
     @given(theta=st.floats(0.1, 10.0), g=st.floats(1e-6, 1e6),
            lam1=st.floats(1e-9, 1e3), lam2=st.floats(1e-9, 1e3))
     def test_nonincreasing_in_multiplier(self, theta, g, lam1, lam2):
         lo, hi = sorted((lam1, lam2))
-        assert dual_score(theta, g, lo) >= dual_score(theta, g, hi) - 1e-12
+        assert bid(theta, g, lo) >= bid(theta, g, hi) - 1e-12
 
 
 class TestPowerDensity:
     def test_reference_value(self):
-        prob = TSProblem(gains=[[2.0]], weights=[1.0], budgets=[1.0])
-        assert power_density(prob, [1.0])[0, 0] == pytest.approx(0.5)
+        assert density(2.0, 1.0) == pytest.approx(0.5)
 
     def test_clamped_when_priced_out(self):
-        prob = TSProblem(gains=[[2.0]], weights=[1.0], budgets=[1.0])
-        assert power_density(prob, [3.0])[0, 0] == 0.0
+        assert density(2.0, 3.0) == 0.0
 
     def test_vanishes_continuously_at_threshold(self):
-        prob = TSProblem(gains=[[2.0]], weights=[1.0], budgets=[1.0])
-        assert power_density(prob, [2.0 - 1e-10])[0, 0] == pytest.approx(0.0, abs=1e-9)
+        assert density(2.0, 2.0 - 1e-10) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestDualValue:
@@ -129,7 +144,8 @@ class TestSubgradientSolve:
         lam = res.best_multipliers
         assert np.all(lam >= LAM_FLOOR)
         assert np.all(lam <= prob.num_tones * prob.weights / prob.budgets)
-        scores = dual_score(prob.weights[:, None], prob.gains, lam[:, None])
+        scores = np.array([[bid(w, g, x, b) for g in row] for w, row, x, b
+                           in zip(prob.weights, prob.gains, lam, prob.budgets)])
         assert np.all(scores >= 0.0)
         inactive = prob.weights[:, None] * prob.gains <= lam[:, None]
         assert np.all(scores[inactive] == 0.0)
@@ -143,19 +159,177 @@ class TestSubgradientSolve:
         _, _, winner_scaled = dual_value(scaled, 7.5 * lam)
         assert np.array_equal(winner, winner_scaled)
 
-    def test_trace_csv(self, tmp_path):
-        prob = random_problem(np.random.default_rng(6))
-        res = subgradient_solve(prob, max_iters=50, tol=None)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(res, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,dual_value,best_dual,subgrad_norm,alpha"
-        assert len(lines) == 51
+    @pytest.mark.parametrize("gains, weight, budget, overflow", [
+        ([[1e300, 1.0]], 1.0, 1.0, False),
+        ([[1e-320, 1e-3]], 1.0, 1.0, True),       # 1/g of a subnormal gain overflows
+        ([[1e200, 1e-200]], 1.0, 100.0, False),
+        ([[1.0, 2.0]], 1e300, 1.0, True)])        # the squared subgradient overflows
+    def test_extreme_valid_inputs_solve_cleanly(self, gains, weight, budget, overflow):
+        prob = TSProblem(gains=gains, weights=[weight], budgets=[budget])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = subgradient_solve(prob)
+            alloc = recover_primal(prob, res.best_multipliers)
+        assert np.isfinite(res.best_dual) and res.best_dual >= alloc.objective
+        messages = {str(w.message) for w in caught}
+        assert all(issubclass(w.category, RuntimeWarning) for w in caught)
+        assert all("overflow" in m for m in messages)
+        assert bool(messages) == overflow
+
+    def test_box_stays_non_empty_below_the_floor(self):
+        # K * weight / budget = 2e-20 lies under LAM_FLOOR; the box's top edge
+        # is raised to the floor, so the multipliers stay where they are evaluated
+        prob = TSProblem(gains=[[1.0, 2.0]], weights=[1e-20], budgets=[1.0])
+        res = subgradient_solve(prob)
+        assert np.array_equal(res.best_multipliers, [LAM_FLOOR])
+        assert dual_value(prob, res.best_multipliers)[0] == res.best_dual
+        assert res.best_dual >= recover_primal(prob, res.best_multipliers).objective
 
     def test_bad_arguments(self):
         prob = random_problem(np.random.default_rng(7))
         with pytest.raises(ValueError):
             subgradient_solve(prob, max_iters=0)
+
+
+def _reference_bid(theta, g, lam):
+    """Bid xi and power density d at floored lam, over every entry (the earlier kernel)."""
+    tg = theta * g
+    active = tg > lam
+    g_safe = np.where(g > 0, g, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(active, tg / lam, 1.0)
+        xi = np.where(active, theta * (np.log(ratio) - 1.0) + lam / g_safe, 0.0)
+        d = np.where(active, (ratio - 1.0) / g_safe, 0.0)
+    return xi, d
+
+
+def _reference_dual(problem, lam):
+    lam_e = np.maximum(lam, LAM_FLOOR)
+    xi, dens = _reference_bid(problem.weights[:, None], problem.gains, lam_e[:, None])
+    winner = np.argmax(xi, axis=0)
+    cols = np.arange(xi.shape[1])
+    value = float(xi[winner, cols].sum() + lam_e @ problem.budgets)
+    drawn = np.bincount(winner, weights=dens[winner, cols], minlength=xi.shape[0])
+    return value, problem.budgets - drawn, winner
+
+
+def _reference_solve(problem, max_iters, tol):
+    """The subgradient loop as first written: clip, a floor on every evaluation, array traces."""
+    a, b = 1.0, 10.0
+    lam_max = problem.num_tones * problem.weights / problem.budgets
+    lam = np.clip(default_multipliers(problem), LAM_FLOOR, lam_max)
+    scale = lam / problem.budgets
+    radius2 = float(np.sum(np.maximum(lam, lam_max - lam) ** 2 / scale))
+    best_tr = np.empty(max_iters)
+    bound_tr = np.empty(max_iters)
+    best, best_lam = np.inf, lam.copy()
+    gmax2 = sum_a = sum_a2 = 0.0
+    converged = False
+    for t in range(1, max_iters + 1):
+        value, subgrad, _ = _reference_dual(problem, lam)
+        if value < best:
+            best, best_lam = value, lam.copy()
+        alpha = a / (b + t)
+        sum_a += alpha
+        sum_a2 += alpha * alpha
+        gmax2 = max(gmax2, float(np.sum(scale * subgrad ** 2)))
+        best_tr[t - 1] = best
+        bound_tr[t - 1] = (radius2 + gmax2 * sum_a2) / sum_a
+        if tol is not None and t > 100:
+            if best_tr[t - 101] - best <= tol * max(abs(best), 1e-30):
+                converged = True
+                break
+        if t == max_iters:
+            break
+        lam = np.clip(lam - alpha * scale * subgrad, LAM_FLOOR, lam_max)
+    return dict(best_dual=best, best_multipliers=best_lam, iterations=t, converged=converged,
+                best_trace=best_tr[:t], bound_trace=bound_tr[:t])
+
+
+def _sandwich_pool():
+    for seed in range(100, 124):
+        for num_links in (1, 2, 3):
+            cfg = ScenarioConfig(num_links=num_links, num_tones=4, rng_seed=seed)
+            real = _trial_realization(cfg, seed, 0)
+            yield (TSProblem(gains=real.direct_gain, weights=np.ones(num_links),
+                             budgets=np.full(num_links, cfg.max_power_mw)), 2000, 1e-6)
+
+
+def _shaped(make, max_iters, tol):
+    """One case per shape, single-link and single-tone shapes included."""
+    rng = np.random.default_rng(12)
+    for shape in [(3, 4), (2, 6), (4, 3), (1, 5), (3, 1), (1, 1)]:
+        gains, weights, budgets = make(rng, *shape)
+        yield TSProblem(gains=gains, weights=weights, budgets=budgets), max_iters, tol
+
+
+def _tied(rng, num_links, num_tones):
+    return rng.integers(0, 3, (num_links, num_tones)).astype(float), np.ones(num_links), \
+        np.full(num_links, 2.0)
+
+
+def _zeros(rng, num_links, num_tones):
+    gains = rng.lognormal(0.0, 2.0, (num_links, num_tones))
+    gains[rng.random(gains.shape) < 0.3] = 0.0
+    gains[0] = 0.0                  # a link that hears nothing
+    gains[:, -1] = 0.0              # a tone nobody can use
+    return gains, rng.uniform(0.2, 5.0, num_links), rng.uniform(0.1, 100.0, num_links)
+
+
+def _mixed(rng, num_links, num_tones):
+    return rng.lognormal(0.0, 3.0, (num_links, num_tones)), rng.uniform(0.2, 5.0, num_links), \
+        rng.uniform(0.1, 100.0, num_links)
+
+
+def _equal(rng, num_links, num_tones):
+    return np.ones((num_links, num_tones)), np.ones(num_links), np.ones(num_links)
+
+
+REFERENCE_CASES = {
+    "sandwich-pool": _sandwich_pool,
+    "tied-gains": lambda: _shaped(_tied, 600, 1e-6),
+    "zero-entries-rows-columns": lambda: _shaped(_zeros, 400, 1e-6),
+    "mixed-weights-budgets": lambda: _shaped(_mixed, 500, 1e-6),
+    "all-equal-tol-none": lambda: _shaped(_equal, 300, None),
+    "mixed-tol-none": lambda: _shaped(_mixed, 300, None),
+    "one-iteration": lambda: _shaped(_mixed, 1, 1e-6),
+    "all-zero-gains": lambda: iter([(TSProblem(gains=np.zeros((2, 3)), weights=np.ones(2),
+                                               budgets=np.ones(2)), 200, 1e-6)]),
+}
+
+
+class TestSubgradientMatchesReference:
+    """The per-problem dual kernel and lean loop repeat the reference loop bit for bit."""
+
+    @pytest.mark.parametrize("group", list(REFERENCE_CASES))
+    def test_solve_and_recovery_bit_identical(self, group):
+        for prob, max_iters, tol in REFERENCE_CASES[group]():
+            want = _reference_solve(prob, max_iters, tol)
+            got = subgradient_solve(prob, max_iters=max_iters, tol=tol)
+            assert got.best_dual == want["best_dual"]
+            assert got.iterations == want["iterations"]
+            assert got.converged == want["converged"]
+            for field in ("best_multipliers", "best_trace", "bound_trace"):
+                assert getattr(got, field).tobytes() == want[field].tobytes(), field
+            _, _, winner = _reference_dual(prob, want["best_multipliers"])
+            ref = Allocation.from_sets(prob, [np.flatnonzero(winner == i)
+                                              for i in range(prob.num_links)])
+            alloc = recover_primal(prob, got.best_multipliers)
+            assert alloc.share.tobytes() == ref.share.tobytes()
+            assert alloc.power.tobytes() == ref.power.tobytes()
+
+    @pytest.mark.parametrize("group", list(REFERENCE_CASES))
+    def test_dual_value_bit_identical_at_random_multipliers(self, group):
+        rng = np.random.default_rng(13)
+        for prob, _, _ in REFERENCE_CASES[group]():
+            for _ in range(5):
+                # log-uniform over [1e-16, 1e4]: below LAM_FLOOR, around it and far above
+                lam = 10.0 ** rng.uniform(-16.0, 4.0, prob.num_links)
+                value, subgrad, winner = dual_value(prob, lam)
+                ref_value, ref_subgrad, ref_winner = _reference_dual(prob, lam)
+                assert value == ref_value
+                assert subgrad.tobytes() == ref_subgrad.tobytes()
+                assert np.array_equal(winner, ref_winner)
 
 
 class TestRecoverPrimal:
