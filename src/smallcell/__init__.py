@@ -6,6 +6,6 @@ from .channel import ScenarioConfig, ChannelRealization, drop_topology, pathloss
 from .signaling import QuantizationTable, SignalPair, GainView, build_cdf_table, encode, decode, run_signaling_slot
 from .tssolver import TSProblem, Allocation, SubgradientResult
 from .tssolver import dual_value, subgradient_solve, recover_primal, water_fill
-from .soa import marginal_rate, assign_channels, soa_allocate
+from .soa import assign_channels, soa_allocate
 from .baselines import InterferenceAllocation, iwfa_solve, oracle_orthogonal, evaluate_concurrent
 from .harness import TrialRecord, SlotState, run_experiment, run_distributed_slots, summarize

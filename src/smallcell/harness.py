@@ -26,7 +26,7 @@ import numpy as np
 from .channel import ScenarioConfig, drop_topology, realize_channels, pathloss_db
 from .signaling import build_cdf_table, run_signaling_slot
 from .tssolver import POWER_MODES, TSProblem, Allocation, split_power, subgradient_solve, recover_primal
-from .soa import assign_channels, soa_allocate
+from .soa import soa_allocate, _assign_stack
 from .baselines import OracleTooLarge, iwfa_solve, oracle_orthogonal, evaluate_concurrent
 
 CSV_COLUMNS = ("trial_id", "scenario", "num_links", "num_tones", "algorithm",
@@ -64,6 +64,7 @@ class SlotState:
     realized_rate_bps: np.ndarray    # (I,) rates under actual concurrent transmission
     collisions: list                 # (tone, [claimant links]) with >= 2 claimants
     giveup_probability: float
+    rescheduled: tuple               # links that ran the greedy in this slot
 
 
 def _bps_factor(cfg: ScenarioConfig) -> float:
@@ -200,8 +201,12 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
 
     A link's claims and power row depend only on its fixed view and its
     give-up set, so a link re-schedules only in the slot after it gives up a
-    new tone.  A slot where no link re-schedules shares the previous state's
-    claims, powers, collisions and rates, so treat them as read-only.
+    new tone; each state's rescheduled lists those links (every link in slot
+    0).  The links re-scheduling in one slot run their greedies as one stack
+    (soa._assign_stack over their B local views, 2 B I K floats); each then
+    splits its budget over its own row's tones.  A slot where no link
+    re-schedules shares the previous state's claims, powers, collisions and
+    rates, so treat them as read-only.
     """
     cfg.validate()
     if not 0.0 <= p_loss <= 1.0:
@@ -230,14 +235,21 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
 
     giveup_rng = np.random.default_rng((master_seed, 0, 4))
     given_up = [set() for _ in range(I)]
-    schedule = [None] * I    # per link (claims, power row), None after a new give-up
+    schedule = [None] * I    # per link (claims, power row)
+    stale = set(range(I))    # links that gave up a new tone since they last scheduled
     states = []
 
     for slot in range(num_slots):
-        if None in schedule:
-            for i in range(I):
-                if schedule[i] is None:
-                    schedule[i] = _schedule_link(i, views[i], given_up[i], weights, budgets, power_mode)
+        rescheduled = tuple(sorted(stale))
+        stale.clear()
+        if rescheduled:
+            local = np.empty((len(rescheduled), I, K))
+            for b, i in enumerate(rescheduled):
+                local[b] = views[i].effective_gains()
+                local[b, i, list(given_up[i])] = 0.0    # own abandoned tones are off the table
+            won = _assign_stack(local, weights, budgets)
+            for b, i in enumerate(rescheduled):
+                schedule[i] = _schedule_link(local[b, i], won[b][i], budgets[i], power_mode)
             claims = [list(mine) for mine, _ in schedule]
             power = np.vstack([row for _, row in schedule])
             claimed = power > 0.0    # a link claims exactly the tones it powers
@@ -255,23 +267,20 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
             realized_rate_bps=realized,
             collisions=collisions,
             giveup_probability=giveup_probability,
+            rescheduled=rescheduled,
         ))
 
         for tone, group in collisions:
             for i in group:
                 if giveup_rng.random() < giveup_probability:
                     given_up[i].add(tone)    # always a new tone: a given-up tone is never claimed
-                    schedule[i] = None
+                    stale.add(i)
     return states
 
 
-def _schedule_link(i, view, given_up, weights, budgets, power_mode):
-    """Link i's claimed tones and power row, scheduled from its own view."""
-    gains = view.effective_gains()           # a fresh array, safe to edit
-    if given_up:
-        gains[i, list(given_up)] = 0.0   # own abandoned tones are off the table
-    won = assign_channels(TSProblem(gains=gains, weights=weights, budgets=budgets))[i]
-    row = split_power(gains[i], won, budgets[i], power_mode)
+def _schedule_link(gains, won, budget, power_mode):
+    """One link's claimed tones and power row: its budget split over the tones it won."""
+    row = split_power(gains, won, budget, power_mode)
     return [k for k in won if row[k] > 0.0], row
 
 

@@ -39,10 +39,6 @@ class QuantizationTable:
         """Index of the smallest level at or above each g, clamped to the top level."""
         return np.minimum(np.searchsorted(self.gain_levels, g, side="left"), self.size - 1)
 
-    def quantize(self, g: float) -> float:
-        """Smallest level at or above g, clamped to the extremes."""
-        return float(self.gain_levels[self.level_index(g)])
-
 
 @dataclass(frozen=True)
 class SignalPair:

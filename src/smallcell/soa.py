@@ -8,33 +8,24 @@ so weak tones can stay unassigned.  The power phase is the one shared by
 every orthogonal allocation (tssolver.Allocation.from_sets): each link
 splits its budget equally over its tones or water-fills it.
 
-The loop keeps per-link running log-sums of the held tones at the current
-split and at the split after one more tone, so a step is one argmax over
-the (I, K) gains with taken tones masked out, one vectorized refresh of all
-I bids and a log-sum over the winner's tones: O(I K) work per step and
-O(I K^2) for a whole assignment.
+The loop runs over a (B, I, K) stack of problems that share weights and
+budgets; assign_channels is the stack of one.  The slotted protocol stacks
+the views of the links that re-schedule in one slot, so the per-call numpy
+overhead of a step is paid once for all of them.  Per problem and link the
+loop keeps running log-sums of the held tones at the current split and at
+the split after one more tone.  A step is one argmax over the stack's gains
+with taken tones masked out, one vectorized refresh of all B I bids, one
+argmax per problem, and one log-sum over each winner's tones, taken for all
+winners holding the same number of tones at once.  A problem in which
+nobody gains makes no more updates, so its result is the one it has alone.
+Work is O(B I K) per step and O(B I K^2) for a whole stack.  Memory is the
+stack and its masked copy, 2 B I K floats, plus the held tones' scaled
+gains, at most B K of them.
 """
 
 import numpy as np
 
 from .tssolver import TSProblem, Allocation
-
-
-def marginal_rate(theta: float, budget: float, gains, acs, cta: int) -> float:
-    """Rate gained by adding tone cta to a link holding the tones in acs.
-
-    Equal power split is assumed before (budget/|acs|) and after
-    (budget/(|acs|+1)) the addition; with an empty acs the baseline is zero
-    rate.  Natural-log units.
-    """
-    g = np.asarray(gains, dtype=float)
-    held = list(acs)
-    if cta in held:
-        raise ValueError("candidate tone already assigned to this link")
-    m = len(held)
-    after = np.log1p(budget * g[held + [cta]] / (m + 1)).sum()
-    before = np.log1p(budget * g[held] / m).sum() if m else 0.0
-    return float(theta * (after - before))
 
 
 def assign_channels(problem: TSProblem):
@@ -44,34 +35,59 @@ def assign_channels(problem: TSProblem):
     the unassigned one with the largest gain, lowest tone index on equal
     gains.  Identical problems produce identical assignments.
     """
-    g = problem.gains
-    w = problem.weights
-    p0 = problem.budgets
-    I, K = g.shape
+    return _assign_stack(problem.gains[None], problem.weights, problem.budgets)[0]
 
-    free = g.copy()             # taken tones are set to -1, below every real gain
-    links = np.arange(I)
-    assigned = [[] for _ in range(I)]
-    # running sums: base[i] = log-rate of the held tones at the current split,
-    # shifted[i] = same tones at the split after one more tone
-    base = np.zeros(I)
-    shifted = np.zeros(I)
-    counts = np.zeros(I, dtype=int)
+
+def _assign_stack(gains, weights, budgets):
+    """assign_channels for each problem of a (B, I, K) stack of valid gains.
+
+    All problems share the (I,) weights and budgets.  Returns B lists of
+    per-link tone lists; entry b equals assign_channels on gains[b].
+    """
+    B, I, K = gains.shape
+    n = B * I                   # problem b's link i is row b I + i
+    free = gains.reshape(n, K).copy()    # taken tones are set to -1, below every real gain
+    rows = np.arange(n)
+    firsts = rows[::I]
+    p0 = np.concatenate((budgets,) * B)
+    w = np.concatenate((weights,) * B)
+    held = [[] for _ in range(n)]
+    held_scaled = [[] for _ in range(n)]    # p0 * gain of each held tone, in greedy order
+    # running sums: base[r] = log-rate of the held tones at the current split,
+    # shifted[r] = same tones at the split after one more tone
+    base = np.zeros(n)
+    shifted = np.zeros(n)
+    split = np.ones(n)          # number of held tones + 1
+    split_col = split[:, None]
 
     for _ in range(K):
-        nominee = np.argmax(free, axis=1)
-        bid = np.log1p(p0 * free[links, nominee] / (counts + 1))
+        nominee = free.argmax(axis=1)
+        scaled = p0 * free[rows, nominee]
+        bid = np.log1p(scaled / split)
         margin = w * (shifted + bid - base)
-        i = int(np.argmax(margin))
-        if not margin[i] > 0.0:
-            break                               # nobody gains from another tone
-        k = int(nominee[i])
-        free[:, k] = -1.0
-        assigned[i].append(k)
-        counts[i] += 1
-        base[i] = shifted[i] + bid[i]
-        shifted[i] = np.log1p(p0[i] * g[i, assigned[i]] / (counts[i] + 1)).sum()
-    return assigned
+        by_count = {}           # winners grouped by their new number of held tones
+        for r in (margin.reshape(B, I).argmax(axis=1) + firsts).tolist():
+            if not margin[r] > 0.0:
+                continue                        # nobody in this problem gains from another tone
+            k = int(nominee[r])
+            first = r - r % I
+            free[first:first + I, k] = -1.0
+            mine = held[r]
+            mine.append(k)
+            held_scaled[r].append(float(scaled[r]))
+            base[r] = shifted[r] + bid[r]
+            split[r] = len(mine) + 1.0
+            by_count.setdefault(len(mine), []).append(r)
+        if not by_count:
+            break
+        # .sum(axis=1) adds each row in greedy order, the same floats as a 1-D
+        # .sum() over one link's tones; a zero-padded row would add in another
+        # order, hence one sum per held count
+        for winners in by_count.values():
+            rs = np.array(winners)
+            held_rows = np.array([held_scaled[r] for r in winners])
+            shifted[rs] = np.log1p(held_rows / split_col[rs]).sum(axis=1)
+    return [held[first:first + I] for first in firsts.tolist()]
 
 
 def soa_allocate(problem: TSProblem, power_mode: str = "equal") -> Allocation:

@@ -230,8 +230,11 @@ class TestDistributedSlots:
     def test_reused_claims_match_rescheduling_every_slot(self, p_loss, giveup_probability,
                                                           power_mode):
         collided = 0
-        for seed in (1, 5, 9):
-            cfg = small_cfg(num_links=5, num_tones=8)
+        cases = [(5, 8, seed) for seed in (1, 5, 9)]
+        if p_loss == 0.1:
+            cases.append((16, 64, 1))    # dense: several links re-schedule in one slot
+        for num_links, num_tones, seed in cases:
+            cfg = small_cfg(num_links=num_links, num_tones=num_tones)
             states = run_distributed_slots(cfg, num_slots=15, p_loss=p_loss,
                                            giveup_probability=giveup_probability,
                                            master_seed=seed, power_mode=power_mode)
@@ -241,7 +244,30 @@ class TestDistributedSlots:
                 assert st.collisions == collisions
                 assert np.array_equal(st.intended_power, power)
                 collided += len(collisions)
+            if num_links == 16:
+                assert any(len(st.rescheduled) > 1 for st in states[1:])
         assert collided > 0          # give-ups happened, so some links re-scheduled
+
+    @pytest.mark.parametrize("giveup_probability", [0.5, 1.0])
+    def test_rescheduled_links_replay_the_giveup_draws(self, giveup_probability):
+        # a link runs the greedy in slot 0 and in each slot after it gives up a tone
+        batches = []
+        for seed in (1, 5, 9):
+            cfg = small_cfg(num_links=6, num_tones=12)
+            states = run_distributed_slots(cfg, num_slots=10, p_loss=0.3,
+                                           giveup_probability=giveup_probability,
+                                           master_seed=seed)
+            giveup_rng = np.random.default_rng((seed, 0, 4))
+            want = tuple(range(6))
+            for slot, st in enumerate(states):
+                assert st.rescheduled == want
+                if not want:
+                    assert st.claims is states[slot - 1].claims
+                gave_up = {i for _, group in st.collisions for i in group
+                           if giveup_rng.random() < giveup_probability}
+                want = tuple(sorted(gave_up))
+                batches.append(len(st.rescheduled))
+        assert 0 in batches and any(1 < b < 6 for b in batches)
 
 
     @pytest.mark.parametrize("power_mode", ["equal", "waterfill"])

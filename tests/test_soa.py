@@ -2,8 +2,25 @@ import numpy as np
 import pytest
 
 from smallcell.tssolver import TSProblem
-from smallcell.soa import marginal_rate, assign_channels, soa_allocate
+from smallcell.soa import assign_channels, soa_allocate, _assign_stack
 from smallcell.baselines import oracle_orthogonal
+
+
+def marginal_rate(theta: float, budget: float, gains, acs, cta: int) -> float:
+    """Rate gained by adding tone cta to a link holding the tones in acs.
+
+    Equal power split is assumed before (budget/|acs|) and after
+    (budget/(|acs|+1)) the addition; with an empty acs the baseline is zero
+    rate.  Natural-log units.
+    """
+    g = np.asarray(gains, dtype=float)
+    held = list(acs)
+    if cta in held:
+        raise ValueError("candidate tone already assigned to this link")
+    m = len(held)
+    after = np.log1p(budget * g[held + [cta]] / (m + 1)).sum()
+    before = np.log1p(budget * g[held] / m).sum() if m else 0.0
+    return float(theta * (after - before))
 
 
 def random_problem(rng, num_links=3, num_tones=8):
@@ -119,6 +136,91 @@ class TestGreedyReference:
                              weights=rng.uniform(0.5, 2.0, num_links),
                              budgets=rng.uniform(0.1, 10.0, num_links))
             assert assign_channels(prob) == reference_greedy(prob)
+
+
+def one_problem_greedy(problem):
+    """The greedy loop for one problem, with the running sums and float ops of soa's loop.
+
+    One link wins per step; its shifted sum is a 1-D .sum() over its held
+    tones in greedy order.
+    """
+    g, w, p0 = problem.gains, problem.weights, problem.budgets
+    I, K = g.shape
+    free = g.copy()
+    links = np.arange(I)
+    assigned = [[] for _ in range(I)]
+    base, shifted, counts = np.zeros(I), np.zeros(I), np.zeros(I, dtype=int)
+    for _ in range(K):
+        nominee = np.argmax(free, axis=1)
+        bid = np.log1p(p0 * free[links, nominee] / (counts + 1))
+        margin = w * (shifted + bid - base)
+        i = int(np.argmax(margin))
+        if not margin[i] > 0.0:
+            break
+        k = int(nominee[i])
+        free[:, k] = -1.0
+        assigned[i].append(k)
+        counts[i] += 1
+        base[i] = shifted[i] + bid[i]
+        shifted[i] = np.log1p(p0[i] * g[i, assigned[i]] / (counts[i] + 1)).sum()
+    return assigned
+
+
+def stack_matches_each_problem(gains, weights, budgets):
+    """Run the stacked greedy and check every problem against its own solve."""
+    got = _assign_stack(gains, np.asarray(weights, float), np.asarray(budgets, float))
+    assert len(got) == gains.shape[0]
+    for b, sets in enumerate(got):
+        prob = TSProblem(gains=gains[b], weights=weights, budgets=budgets)
+        assert sets == assign_channels(prob)
+        assert sets == one_problem_greedy(prob)
+        assert sets == reference_greedy(prob)
+    return got
+
+
+class TestGreedyStack:
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 4, 10), (6, 1, 12), (5, 4, 1),
+                                       (3, 16, 64), (16, 4, 10)])
+    def test_random_stacks(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        I = shape[1]
+        for _ in range(3):
+            stack_matches_each_problem(rng.lognormal(0.0, 2.0, shape), np.ones(I),
+                                       np.full(I, 10.0))
+
+    def test_integer_tied_gains(self):
+        rng = np.random.default_rng(11)
+        for shape in ((8, 3, 6), (4, 5, 12)):
+            stack_matches_each_problem(rng.integers(0, 3, shape).astype(float),
+                                       np.ones(shape[1]), np.full(shape[1], 2.0))
+
+    def test_zero_entries_rows_and_columns(self):
+        rng = np.random.default_rng(12)
+        gains = rng.exponential(1.0, (6, 4, 9)) * (rng.random((6, 4, 9)) < 0.6)
+        gains[1, 2, :] = 0.0          # a link that knows nothing
+        gains[2, :, 3] = 0.0          # a tone nobody can use
+        gains[3] = 0.0                # a problem where nobody gains at all
+        got = stack_matches_each_problem(gains, np.ones(4), np.full(4, 3.0))
+        assert got[1][2] == [] and 3 not in sum(got[2], []) and got[3] == [[]] * 4
+
+    def test_all_equal_gains(self):
+        for value in (0.5, 1.0, 7.0):
+            stack_matches_each_problem(np.full((3, 4, 8), value), np.ones(4), np.full(4, 2.0))
+
+    def test_mixed_weights_and_budgets(self):
+        rng = np.random.default_rng(13)
+        for I, K in ((3, 8), (7, 20)):
+            stack_matches_each_problem(rng.lognormal(0.0, 1.5, (5, I, K)),
+                                       rng.uniform(0.5, 2.0, I), rng.uniform(0.1, 10.0, I))
+
+    def test_problems_stop_at_different_steps(self):
+        # scaling a problem's gains moves the step where its bids stop paying
+        rng = np.random.default_rng(14)
+        gains = rng.lognormal(0.0, 1.0, (6, 3, 16)) * np.logspace(-3, 2, 6)[:, None, None]
+        got = stack_matches_each_problem(gains, np.ones(3), np.full(3, 1.0))
+        handed_out = [sum(len(tones) for tones in sets) for sets in got]
+        assert len(set(handed_out)) >= 4
+        assert handed_out[-1] == 16 > handed_out[0]
 
 
 class TestSoaAllocate:
