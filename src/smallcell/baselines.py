@@ -58,6 +58,12 @@ def iwfa_solve(realization, budgets, max_rounds: int = 200) -> InterferenceAlloc
     max_rounds; running out of rounds sets converged=False and is not an
     error.  delta_trace holds each round's largest power move.  Budgets must
     be one finite, positive value per link.
+
+    A round's powers fully determine the next round, so once a round that
+    did not converge ends on the exact powers an earlier round ended on, the
+    run repeats that cycle until max_rounds.  The cycle is then not run out:
+    delta_trace is filled from it and the powers are those the cycle ends
+    on at max_rounds, the same result as running every round.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
@@ -76,15 +82,26 @@ def iwfa_solve(realization, budgets, max_rounds: int = 200) -> InterferenceAlloc
     power = np.vstack([water_fill(direct / noise, budget) for _, direct, budget in links])
 
     deltas = []
+    history = []    # history[n]: the powers after n rounds
+    seen = {}       # their bytes -> n
     converged = False
-    for _ in range(max_rounds):
+    while len(deltas) < max_rounds:
         before = power.copy()
+        seen.setdefault(before.tobytes(), len(history))
+        history.append(before)
         for i, (incoming, direct, budget) in enumerate(links):
             floor = noise + np.einsum("jk,jk->k", incoming, power) - direct * power[i]
             power[i] = water_fill(direct / floor, budget)
         deltas.append(float(np.abs(power - before).max()))
         if deltas[-1] < IWFA_EPS_MW:
             converged = True
+            break
+        first = seen.get(power.tobytes())
+        if first is not None:
+            period = len(deltas) - first
+            while len(deltas) < max_rounds:
+                deltas.append(deltas[-period])
+            power = history[first + (max_rounds - first) % period]
             break
 
     return InterferenceAllocation(power=power, rate=evaluate_concurrent(realization, power),

@@ -23,7 +23,7 @@ import csv
 import time
 import numpy as np
 
-from .channel import ScenarioConfig, drop_topology, realize_channels, pathloss_db
+from .channel import ScenarioConfig, check_seed, drop_topology, realize_channels, pathloss_db
 from .signaling import build_cdf_table, run_signaling_slot
 from .tssolver import POWER_MODES, TSProblem, Allocation, split_power, subgradient_solve, recover_primal
 from .soa import soa_allocate, _assign_stack
@@ -138,8 +138,7 @@ def run_experiment(cfg: ScenarioConfig, algorithms=("SOA", "IWFA"), trials: int 
         raise ValueError("trials must be at least 1")
     if not 0.0 <= signaling_overhead < 1.0:
         raise ValueError("signaling_overhead must be in [0, 1)")
-    if master_seed is None:
-        master_seed = cfg.rng_seed
+    master_seed = cfg.rng_seed if master_seed is None else check_seed("master_seed", master_seed)
 
     factor = _bps_factor(cfg) * (1.0 - signaling_overhead)
     records = []
@@ -217,8 +216,7 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
         raise ValueError("giveup_probability must be in [0, 1]")
     if num_slots < 1:
         raise ValueError("num_slots must be at least 1")
-    if master_seed is None:
-        master_seed = cfg.rng_seed
+    master_seed = cfg.rng_seed if master_seed is None else check_seed("master_seed", master_seed)
 
     I, K = cfg.num_links, cfg.num_tones
     factor = _bps_factor(cfg)

@@ -7,6 +7,7 @@ from smallcell.channel import ChannelRealization, ScenarioConfig
 from smallcell.harness import _trial_realization
 from smallcell.tssolver import TSProblem, water_fill, WATER_FILL_MIN_SNR
 from smallcell.soa import soa_allocate
+from smallcell import baselines
 from smallcell.baselines import (InterferenceAllocation, evaluate_concurrent,
                                  iwfa_solve, oracle_orthogonal,
                                  ORACLE_MAX_ASSIGNMENTS, IWFA_EPS_MW)
@@ -168,12 +169,14 @@ def classic_water_fill(gains, budget):
 
 
 def reference_iwfa(realization, budgets, max_rounds=200):
-    """IWFA with the running per-link delta and classic_water_fill: (power, rounds, converged)."""
+    """IWFA with the running per-link delta and classic_water_fill, every round run:
+    (power, rounds, converged, deltas)."""
     cross = realization.cross_gain
     noise = realization.noise_power_mw
     own_gain = np.einsum("iik->ik", cross)
     power = np.vstack([classic_water_fill(own_gain[i] / noise, float(budgets[i]))
                        for i in range(realization.num_links)])
+    deltas = []
     for rounds in range(1, max_rounds + 1):
         delta = 0.0
         for i in range(realization.num_links):
@@ -181,9 +184,10 @@ def reference_iwfa(realization, budgets, max_rounds=200):
             new_p = classic_water_fill(own_gain[i] / floor, float(budgets[i]))
             delta = max(delta, float(np.max(np.abs(new_p - power[i]))))
             power[i] = new_p
+        deltas.append(delta)
         if delta < IWFA_EPS_MW:
-            return power, rounds, True
-    return power, max_rounds, False
+            return power, rounds, True, deltas
+    return power, max_rounds, False, deltas
 
 
 class TestIwfaMatchesReference:
@@ -192,13 +196,39 @@ class TestIwfaMatchesReference:
         for cfg in SWEEP_POOL + [ScenarioConfig(rng_seed=5, num_links=10, num_tones=64)]:
             real = _trial_realization(cfg, cfg.rng_seed, 0)
             budgets = np.full(cfg.num_links, cfg.max_power_mw)
-            power, rounds, converged = reference_iwfa(real, budgets)
+            power, rounds, converged, deltas = reference_iwfa(real, budgets)
             out = iwfa_solve(real, budgets)
             assert out.power.tobytes() == power.tobytes()
             assert out.rate.tobytes() == evaluate_concurrent(real, power).tobytes()
             assert (out.rounds, out.converged) == (rounds, converged)
+            assert out.delta_trace.tobytes() == np.array(deltas).tobytes()
             capped += not converged
         assert capped > 0
+
+    # seed 779 at 3 links: the powers after round 33 are those after round 25
+    CYCLING = ScenarioConfig(rng_seed=779, num_links=3, num_tones=10)
+
+    def test_exact_cycle_is_not_run_out(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(baselines, "water_fill",
+                            lambda *args: calls.append(1) or water_fill(*args))
+        real = _trial_realization(self.CYCLING, 779, 0)
+        out = iwfa_solve(real, np.full(3, self.CYCLING.max_power_mw))
+        # the starting point, then 33 rounds of 3 best responses, not 200
+        assert len(calls) == 3 + 33 * 3
+        assert (out.rounds, out.converged, len(out.delta_trace)) == (200, False, 200)
+
+    @pytest.mark.parametrize("max_rounds", [1, 25, 32] + list(range(33, 42)) + [200])
+    def test_skipped_cycle_ends_where_every_round_would(self, max_rounds):
+        # caps before the first repeat, at it, and at each phase of the
+        # 8-round cycle after it
+        real = _trial_realization(self.CYCLING, 779, 0)
+        budgets = np.full(3, self.CYCLING.max_power_mw)
+        power, rounds, converged, deltas = reference_iwfa(real, budgets, max_rounds)
+        out = iwfa_solve(real, budgets, max_rounds=max_rounds)
+        assert out.power.tobytes() == power.tobytes()
+        assert (out.rounds, out.converged) == (rounds, converged) == (max_rounds, False)
+        assert out.delta_trace.tobytes() == np.array(deltas).tobytes()
 
 
 class TestOracle:

@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from smallcell.channel import (ScenarioConfig, SCENARIOS, drop_topology,
+from smallcell.channel import (ScenarioConfig, SCENARIOS, MIN_DISTANCE_M, drop_topology,
                                pathloss_db, realize_channels, config_from_file)
 
 
@@ -124,6 +124,59 @@ class TestRealizeChannels:
         b = realize_channels(cfg3, pos3, (1, 2, 3))
         assert np.array_equal(a.cross_gain, b.cross_gain[:2, :2, :])
 
+    @pytest.mark.parametrize("rows", [2, 3, 5, 8])
+    def test_positions_of_another_link_count_rejected(self, rows):
+        # unchecked, extra rows failed with a broadcast error between the
+        # pathloss and the shadowing, and too few rows failed the same way
+        cfg = cfg_for(num_links=2, num_tones=3)
+        pos = drop_topology(cfg_for(num_links=4), np.random.default_rng(0))[:rows]
+        for rng in (np.random.default_rng(1), (1, 0, 2)):
+            with pytest.raises(ValueError, match=r"positions must have shape \(4, 2\)"):
+                realize_channels(cfg, pos, rng)
+
+    @pytest.mark.parametrize("key", [-1, (-1,), (1, -2, 3), (1, 0.5, 2)])
+    def test_bad_seed_key_rejected(self, key):
+        cfg = cfg_for(num_links=2, num_tones=3)
+        pos = drop_topology(cfg, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="seed key element must be a non-negative integer"):
+            realize_channels(cfg, pos, key)
+
+
+def keyed_reference(cfg, positions, key):
+    """The cross gains of a keyed draw, pair (i, j) shadowed by its own default_rng(key + (i, j))."""
+    I, K = cfg.num_links, cfg.num_tones
+    key = (key,) if isinstance(key, int) else tuple(key)
+    shadow = np.empty((I, I, K))
+    for i in range(I):
+        for j in range(I):
+            shadow[i, j] = np.random.default_rng(key + (i, j)).normal(0.0, cfg.shadow_sigma_db, K)
+    dist = np.linalg.norm(positions[0::2, None, :] - positions[None, 1::2, :], axis=2)
+    pl = pathloss_db(cfg, np.maximum(dist, MIN_DISTANCE_M))
+    return 10.0 ** (-(pl[:, :, None] + shadow) / 10.0)
+
+
+@pytest.mark.filterwarnings("error")
+class TestKeyedSubstreams:
+    """The vectorized seeding draws exactly what one default_rng per pair draws."""
+
+    @pytest.mark.parametrize("key", [(0, 0, 2), (2 ** 32 - 1, 7, 2), (2 ** 32, 0, 2), (2 ** 70, 3, 2),
+                                     (1234, 0, 2), (2 ** 32 - 1, 2 ** 33, 2), (0,), 7, ()])
+    @pytest.mark.parametrize("num_links", [1, 2, 3, 16])
+    def test_cross_gain_bytes_match_per_pair_generators(self, key, num_links):
+        for num_tones in (1, 64):
+            for sigma in (0.0, 3.0, 8.0):
+                cfg = cfg_for(num_links=num_links, num_tones=num_tones, shadow_sigma_db=sigma)
+                pos = drop_topology(cfg, np.random.default_rng(num_links))
+                got = realize_channels(cfg, pos, key).cross_gain
+                assert got.tobytes() == keyed_reference(cfg, pos, key).tobytes()
+
+    def test_numpy_integer_key_elements(self):
+        cfg = cfg_for(num_links=3, num_tones=5)
+        pos = drop_topology(cfg, np.random.default_rng(2))
+        key = (np.uint64(2 ** 63 + 5), np.int32(4), 2)
+        got = realize_channels(cfg, pos, key).cross_gain
+        assert got.tobytes() == keyed_reference(cfg, pos, tuple(int(k) for k in key)).tobytes()
+
 
 class TestConfigFile:
     def test_round_trip_with_overrides(self, tmp_path):
@@ -162,6 +215,13 @@ class TestConfigFile:
         # later, in realize_channels or TSProblem
         with pytest.raises(ValueError, match=field):
             cfg_for(**{field: value}).validate()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+    def test_bad_rng_seed_rejected(self, seed):
+        # unchecked, a negative seed passed validate() and failed inside numpy
+        # at the first draw
+        with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
+            cfg_for(rng_seed=seed).validate()
 
     def test_zero_propagation_terms_accepted(self):
         cfg_for(num_floors=0, shadow_sigma_db=0.0, num_walls=0, indoor_dist_m=0.0).validate()

@@ -79,6 +79,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(cfg, trials=1, signaling_overhead=1.0)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_bad_master_seed_rejected_before_the_first_draw(self, seed):
+        # unchecked, a negative seed failed inside numpy's SeedSequence
+        with pytest.raises(ValueError, match="master_seed must be a non-negative integer"):
+            run_experiment(small_cfg(), trials=1, master_seed=seed)
+
     def test_all_algorithm_names_run(self):
         cfg = small_cfg()
         recs = run_experiment(cfg, algorithms=ALGORITHMS, trials=1)
@@ -164,6 +170,8 @@ class TestDistributedSlots:
                 run_distributed_slots(cfg, num_slots=1, p_loss=p_loss)
         with pytest.raises(ValueError, match="power_mode"):
             run_distributed_slots(cfg, num_slots=1, power_mode="greedy")
+        with pytest.raises(ValueError, match="master_seed must be a non-negative integer"):
+            run_distributed_slots(cfg, num_slots=1, master_seed=-1)
 
     def test_loss_fraction_matches_probability(self):
         # each (sender, receiver, tone) broadcast is erased with probability p_loss
