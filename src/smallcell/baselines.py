@@ -14,7 +14,7 @@ Rates are natural-log units per tone use, consistent with tssolver.
 from dataclasses import dataclass
 import numpy as np
 
-from .tssolver import TSProblem, Allocation, water_fill
+from .tssolver import TSProblem, Allocation, water_fill, _check_count
 
 ORACLE_MAX_ASSIGNMENTS = 10 ** 6
 IWFA_EPS_MW = 1e-6  # IWFA settles once a round moves no power entry by this much
@@ -57,7 +57,7 @@ def iwfa_solve(realization, budgets, max_rounds: int = 200) -> InterferenceAlloc
     after a full round moves no power entry by IWFA_EPS_MW or more, or at
     max_rounds; running out of rounds sets converged=False and is not an
     error.  delta_trace holds each round's largest power move.  Budgets must
-    be one finite, positive value per link.
+    be one finite, positive value per link, and max_rounds an integer >= 1.
 
     A round's powers fully determine the next round, so once a round that
     did not converge ends on the exact powers an earlier round ended on, the
@@ -65,8 +65,7 @@ def iwfa_solve(realization, budgets, max_rounds: int = 200) -> InterferenceAlloc
     delta_trace is filled from it and the powers are those the cycle ends
     on at max_rounds, the same result as running every round.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be at least 1")
+    max_rounds = _check_count("max_rounds", max_rounds)
     budgets = np.asarray(budgets, dtype=float)
     cross = realization.cross_gain
     I = realization.num_links

@@ -25,7 +25,8 @@ import numpy as np
 
 from .channel import ScenarioConfig, check_seed, drop_topology, realize_channels, pathloss_db
 from .signaling import build_cdf_table, run_signaling_slot
-from .tssolver import POWER_MODES, TSProblem, Allocation, split_power, subgradient_solve, recover_primal
+from .tssolver import (POWER_MODES, TSProblem, Allocation, split_power, subgradient_solve,
+                       recover_primal, _check_count)
 from .soa import soa_allocate, _assign_stack
 from .baselines import OracleTooLarge, iwfa_solve, oracle_orthogonal, evaluate_concurrent
 
@@ -134,8 +135,7 @@ def run_experiment(cfg: ScenarioConfig, algorithms=("SOA", "IWFA"), trials: int 
     for name in algorithms:
         if name not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {name!r}, expected subset of {ALGORITHMS}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _check_count("trials", trials)
     if not 0.0 <= signaling_overhead < 1.0:
         raise ValueError("signaling_overhead must be in [0, 1)")
     master_seed = cfg.rng_seed if master_seed is None else check_seed("master_seed", master_seed)
@@ -214,8 +214,7 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
         raise ValueError(f"unknown power_mode {power_mode!r}, expected one of {POWER_MODES}")
     if not 0.0 <= giveup_probability <= 1.0:
         raise ValueError("giveup_probability must be in [0, 1]")
-    if num_slots < 1:
-        raise ValueError("num_slots must be at least 1")
+    num_slots = _check_count("num_slots", num_slots)
     master_seed = cfg.rng_seed if master_seed is None else check_seed("master_seed", master_seed)
 
     I, K = cfg.num_links, cfg.num_tones

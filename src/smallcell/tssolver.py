@@ -19,6 +19,7 @@ tone_bandwidth / ln 2 for bits/s.  Powers are mW, gains 1/mW.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 import math
 
 import numpy as np
@@ -30,6 +31,14 @@ WATER_FILL_MIN_SNR = 1e-6
 POWER_MODES = ("equal", "waterfill")
 # subgradient step alpha(t) = a / (b + t): square summable but not summable
 STEP_SCHEDULE = (1.0, 10.0)
+
+
+def _check_count(name: str, value) -> int:
+    """Return value as an int; raise ValueError naming it unless it is an
+    integer of at least 1 (an iteration, round, trial or slot count)."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -140,24 +149,39 @@ def _dual_kernel(problem: TSProblem):
     bidder (lowest link index on ties), the winners draw density d, and the
     subgradient is each link's budget minus what it draws.  lam must already
     be at least LAM_FLOOR, so no entry divides by zero.
+
+    numpy charges per call, and more for a broadcast or Python-scalar operand
+    than for a same-shape array, so theta and the constants 0 and 1 are built
+    once as arrays of the bids' shape, lam is expanded once per call, and the
+    winners' entries are read through one flat index.  The bids are laid out
+    tone-major, (K, I), so that each tone's argmax runs along the contiguous
+    axis.  Each call does the same IEEE operations in the same order as the
+    broadcasting form.
     """
-    theta = problem.weights[:, None]
-    gains = problem.gains
+    budgets = problem.budgets
+    num_links, num_tones = problem.gains.shape
+    gains = problem.gains.T.copy()
+    # the link index of every (tone, link) entry: x.take(spread) lays a
+    # per-link vector out over the bids
+    spread = (np.arange(num_tones * num_links) % num_links).reshape(gains.shape)
+    theta = problem.weights.take(spread)
     tg = theta * gains
     g_safe = np.where(gains > 0.0, gains, 1.0)
-    cols = np.arange(gains.shape[1])
-    budgets = problem.budgets
-    num_links = gains.shape[0]
+    ones = np.ones(gains.shape)
+    zeros = np.zeros(gains.shape)
+    ones_k = np.ones(num_tones)
+    rows = np.arange(num_tones) * num_links
 
     def dual(lam):
-        lam_c = lam[:, None]
+        lam_e = lam.take(spread)
         # tg <= lam exactly where the quotient rounds to at most 1
-        ratio = np.maximum(tg / lam_c, 1.0)
-        xi = np.where(tg > lam_c, theta * (np.log(ratio) - 1.0) + lam_c / g_safe, 0.0)
-        winner = xi.argmax(axis=0)
-        value = float(xi[winner, cols].sum() + lam @ budgets)
+        ratio = np.maximum(tg / lam_e, ones)
+        xi = np.where(tg > lam_e, theta * (np.log(ratio) - ones) + lam_e / g_safe, zeros)
+        winner = xi.argmax(axis=1)
+        flat = rows + winner
+        value = float(np.add.reduce(xi.take(flat), None) + lam @ budgets)
         # an inactive winner has ratio 1 and draws nothing
-        drawn = (ratio[winner, cols] - 1.0) / g_safe[winner, cols]
+        drawn = (ratio.take(flat) - ones_k) / g_safe.take(flat)
         return value, budgets - np.bincount(winner, weights=drawn, minlength=num_links), winner
 
     return dual
@@ -198,7 +222,9 @@ def subgradient_solve(problem: TSProblem, max_iters: int = 10000, tol=1e-6) -> S
 
     Early stop: when the best dual value improves by less than tol (relative)
     over a 100-iteration window.  tol=None disables the check and runs all
-    max_iters iterations.
+    max_iters iterations.  max_iters must be an integer >= 1 and tol None or
+    finite and >= 0; anything else raises ValueError before the first
+    iteration.
 
     The dual is evaluated by one per-problem kernel (_dual_kernel), built
     once with the constants of the bids; the loop feeds it multipliers that
@@ -212,11 +238,13 @@ def subgradient_solve(problem: TSProblem, max_iters: int = 10000, tol=1e-6) -> S
     subgradient norm.
     """
     a, b = STEP_SCHEDULE
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    max_iters = _check_count("max_iters", max_iters)
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be None, or finite and >= 0, got {tol!r}")
 
     dual = _dual_kernel(problem)
     lam_max = np.maximum(problem.num_tones * problem.weights / problem.budgets, LAM_FLOOR)
+    lam_floor = np.full(problem.num_links, LAM_FLOOR)
     lam = np.minimum(default_multipliers(problem), lam_max)
     scale = lam / problem.budgets
 
@@ -244,7 +272,9 @@ def subgradient_solve(problem: TSProblem, max_iters: int = 10000, tol=1e-6) -> S
         alpha = a / (b + t)
         sum_a += alpha
         sum_a2 += alpha * alpha
-        gmax2 = max(gmax2, float((scale * subgrad ** 2).sum()))
+        g2 = float(np.add.reduce(scale * (subgrad * subgrad), None))
+        if g2 > gmax2:
+            gmax2 = g2
         best_tr.append(best)
         bound_tr.append((radius2 + gmax2 * sum_a2) / sum_a)
 
@@ -255,7 +285,7 @@ def subgradient_solve(problem: TSProblem, max_iters: int = 10000, tol=1e-6) -> S
                 break
         if t == max_iters:
             break
-        lam = np.minimum(np.maximum(lam - alpha * scale * subgrad, LAM_FLOOR), lam_max)
+        lam = np.minimum(np.maximum(lam - alpha * scale * subgrad, lam_floor), lam_max)
 
     return SubgradientResult(best_dual=best, best_multipliers=best_lam, iterations=t,
                              converged=converged, best_trace=np.array(best_tr),
@@ -280,7 +310,9 @@ def water_fill(gains, budget: float) -> np.ndarray:
     subnormal gain next to a strong tone still warns that 1/g overflowed
     (that tone stays dry).
     """
-    g = np.atleast_1d(np.asarray(gains, dtype=float))
+    g = np.asarray(gains, dtype=float)
+    if g.ndim == 0:
+        g = g.reshape(1)
     if g.ndim != 1:
         raise ValueError(f"gains must be 1-D, got shape {g.shape}")
     if g.size == 0:
@@ -288,7 +320,7 @@ def water_fill(gains, budget: float) -> np.ndarray:
     budget = float(budget)
     if not 0.0 < budget < np.inf:
         raise ValueError(f"budget must be finite and positive, got {budget}")
-    if g.min() > 0.0:          # every tone usable; NaN fails the test
+    if np.minimum.reduce(g) > 0.0:     # every tone usable; NaN fails the test
         usable, gu = None, g
     else:
         if np.isnan(g).any():
@@ -297,7 +329,7 @@ def water_fill(gains, budget: float) -> np.ndarray:
         if usable.size == 0:
             raise ValueError("no tone with positive gain")
         gu = g[usable]
-    gmax = gu.max()
+    gmax = np.maximum.reduce(gu)
     if budget * gmax >= WATER_FILL_MIN_SNR:
         floors = 1.0 / gu
     else:
@@ -306,9 +338,9 @@ def water_fill(gains, budget: float) -> np.ndarray:
         with np.errstate(over="ignore"):
             floors = np.minimum((gmax / gu - 1.0) / gmax, budget)
     order = floors.argsort(kind="stable")
-    floors_sorted = floors[order]
+    floors_sorted = floors.take(order)
     floor_list = floors_sorted.tolist()
-    cum = floors_sorted.cumsum().tolist()
+    cum = list(accumulate(floor_list))     # the same sequential sums as cumsum
     # the strongest tone always clears its floor (budget > 0 is not lost to
     # rounding next to it), so the scan stops at m >= 1
     m = len(floor_list)
@@ -319,7 +351,7 @@ def water_fill(gains, budget: float) -> np.ndarray:
     out = np.zeros(g.shape)
     out[order[:m]] = (budget + cum[m - 1]) / m - floors_sorted[:m]
     # strongest tone absorbs the summation rounding so the budget binds exactly
-    out[order[0]] += budget - out.sum()
+    out[order[0]] += budget - np.add.reduce(out)
     return out
 
 

@@ -121,6 +121,13 @@ class TestIwfa:
         with pytest.raises(ValueError):
             iwfa_solve(real, np.ones(3), max_rounds=0)
 
+    @pytest.mark.parametrize("max_rounds", [2.5, 3.0, -2])
+    def test_max_rounds_not_a_count_rejected(self, max_rounds):
+        # unchecked, 2.5 silently ran 3 rounds
+        real = random_realization(np.random.default_rng(7))
+        with pytest.raises(ValueError, match="max_rounds must be an integer >= 1"):
+            iwfa_solve(real, np.ones(3), max_rounds=max_rounds)
+
     @pytest.mark.parametrize("budgets,match", [
         (np.ones(2), "shape"), (np.ones(4), "shape"), (np.ones((3, 1)), "shape"), (1.0, "shape"),
         ([1.0, np.nan, 1.0], "finite"), ([1.0, np.inf, 1.0], "finite"),

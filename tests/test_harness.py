@@ -79,6 +79,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(cfg, trials=1, signaling_overhead=1.0)
 
+    @pytest.mark.parametrize("trials", [1.5, 2.0, -1])
+    def test_trials_not_a_count_rejected(self, trials):
+        # unchecked, a float failed with a TypeError from range
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            run_experiment(small_cfg(), trials=trials)
+
     @pytest.mark.parametrize("seed", [-1, 2.5])
     def test_bad_master_seed_rejected_before_the_first_draw(self, seed):
         # unchecked, a negative seed failed inside numpy's SeedSequence
@@ -172,6 +178,8 @@ class TestDistributedSlots:
             run_distributed_slots(cfg, num_slots=1, power_mode="greedy")
         with pytest.raises(ValueError, match="master_seed must be a non-negative integer"):
             run_distributed_slots(cfg, num_slots=1, master_seed=-1)
+        with pytest.raises(ValueError, match="num_slots must be an integer >= 1"):
+            run_distributed_slots(cfg, num_slots=2.5)
 
     def test_loss_fraction_matches_probability(self):
         # each (sender, receiver, tone) broadcast is erased with probability p_loss

@@ -190,6 +190,22 @@ class TestSubgradientSolve:
         with pytest.raises(ValueError):
             subgradient_solve(prob, max_iters=0)
 
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, "10", -1])
+    def test_max_iters_not_a_count_rejected(self, max_iters):
+        # unchecked, a float failed with a TypeError from range
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+            subgradient_solve(random_problem(np.random.default_rng(7)), max_iters=max_iters)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, -np.inf])
+    def test_tol_not_finite_and_non_negative_rejected(self, tol):
+        # unchecked, a NaN or negative tol silently never stopped early
+        with pytest.raises(ValueError, match="tol must be None, or finite and >= 0"):
+            subgradient_solve(random_problem(np.random.default_rng(7)), max_iters=500, tol=tol)
+
+    def test_counts_of_numpy_integer_type_accepted(self):
+        prob = random_problem(np.random.default_rng(7))
+        assert subgradient_solve(prob, max_iters=np.int64(5), tol=0).iterations == 5
+
 
 def _reference_bid(theta, g, lam):
     """Bid xi and power density d at floored lam, over every entry (the earlier kernel)."""
@@ -255,10 +271,10 @@ def _sandwich_pool():
                              budgets=np.full(num_links, cfg.max_power_mw)), 2000, 1e-6)
 
 
-def _shaped(make, max_iters, tol):
+def _shaped(make, max_iters, tol, shapes=((3, 4), (2, 6), (4, 3), (1, 5), (3, 1), (1, 1))):
     """One case per shape, single-link and single-tone shapes included."""
     rng = np.random.default_rng(12)
-    for shape in [(3, 4), (2, 6), (4, 3), (1, 5), (3, 1), (1, 1)]:
+    for shape in shapes:
         gains, weights, budgets = make(rng, *shape)
         yield TSProblem(gains=gains, weights=weights, budgets=budgets), max_iters, tol
 
@@ -295,6 +311,17 @@ REFERENCE_CASES = {
     "one-iteration": lambda: _shaped(_mixed, 1, 1e-6),
     "all-zero-gains": lambda: iter([(TSProblem(gains=np.zeros((2, 3)), weights=np.ones(2),
                                                budgets=np.ones(2)), 200, 1e-6)]),
+    # shapes where the kernel's flat winner index and expanded multipliers
+    # differ most from broadcasting: many tones, many links, one link
+    "mixed-8x64": lambda: _shaped(_mixed, 300, 1e-6, [(8, 64)]),
+    "tied-16x3": lambda: _shaped(_tied, 600, 1e-6, [(16, 3)]),
+    "zeros-1x64": lambda: _shaped(_zeros, 400, 1e-6, [(1, 64)]),
+    # the extreme valid inputs of test_extreme_valid_inputs_solve_cleanly, at
+    # subgradient_solve's defaults; they overflow, so the tests ignore overflow
+    "extreme-gains-weights": lambda: iter([
+        (TSProblem(gains=gains, weights=[weight], budgets=[1.0]), 10000, 1e-6)
+        for gains, weight in [([[1e300, 1.0]], 1.0), ([[1e-320, 1e-3]], 1.0),
+                              ([[1.0, 2.0]], 1e300)]]),
 }
 
 
@@ -304,17 +331,18 @@ class TestSubgradientMatchesReference:
     @pytest.mark.parametrize("group", list(REFERENCE_CASES))
     def test_solve_and_recovery_bit_identical(self, group):
         for prob, max_iters, tol in REFERENCE_CASES[group]():
-            want = _reference_solve(prob, max_iters, tol)
-            got = subgradient_solve(prob, max_iters=max_iters, tol=tol)
+            with np.errstate(over="ignore"):
+                want = _reference_solve(prob, max_iters, tol)
+                got = subgradient_solve(prob, max_iters=max_iters, tol=tol)
+                _, _, winner = _reference_dual(prob, want["best_multipliers"])
+                ref = Allocation.from_sets(prob, [np.flatnonzero(winner == i)
+                                                  for i in range(prob.num_links)])
+                alloc = recover_primal(prob, got.best_multipliers)
             assert got.best_dual == want["best_dual"]
             assert got.iterations == want["iterations"]
             assert got.converged == want["converged"]
             for field in ("best_multipliers", "best_trace", "bound_trace"):
                 assert getattr(got, field).tobytes() == want[field].tobytes(), field
-            _, _, winner = _reference_dual(prob, want["best_multipliers"])
-            ref = Allocation.from_sets(prob, [np.flatnonzero(winner == i)
-                                              for i in range(prob.num_links)])
-            alloc = recover_primal(prob, got.best_multipliers)
             assert alloc.share.tobytes() == ref.share.tobytes()
             assert alloc.power.tobytes() == ref.power.tobytes()
 
@@ -325,8 +353,9 @@ class TestSubgradientMatchesReference:
             for _ in range(5):
                 # log-uniform over [1e-16, 1e4]: below LAM_FLOOR, around it and far above
                 lam = 10.0 ** rng.uniform(-16.0, 4.0, prob.num_links)
-                value, subgrad, winner = dual_value(prob, lam)
-                ref_value, ref_subgrad, ref_winner = _reference_dual(prob, lam)
+                with np.errstate(over="ignore"):
+                    value, subgrad, winner = dual_value(prob, lam)
+                    ref_value, ref_subgrad, ref_winner = _reference_dual(prob, lam)
                 assert value == ref_value
                 assert subgrad.tobytes() == ref_subgrad.tobytes()
                 assert np.array_equal(winner, ref_winner)
