@@ -202,7 +202,7 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
     give-up set, so a link re-schedules only in the slot after it gives up a
     new tone; each state's rescheduled lists those links (every link in slot
     0).  The links re-scheduling in one slot run their greedies as one stack
-    (soa._assign_stack over their B local views, 2 B I K floats); each then
+    (soa._assign_stack over their B local views, 3 B I K floats); each then
     splits its budget over its own row's tones.  A slot where no link
     re-schedules shares the previous state's claims, powers, collisions and
     rates, so treat them as read-only.

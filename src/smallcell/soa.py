@@ -16,11 +16,13 @@ loop keeps running log-sums of the held tones at the current split and at
 the split after one more tone.  A step is one argmax over the stack's gains
 with taken tones masked out, one vectorized refresh of all B I bids, one
 argmax per problem, and one log-sum over each winner's tones, taken for all
-winners holding the same number of tones at once.  A problem in which
+winners holding the same number of tones at once (a lone winner sums its own
+row).  With one problem, as in assign_channels, a step is about a dozen
+numpy calls, and their fixed cost is most of its time.  A problem in which
 nobody gains makes no more updates, so its result is the one it has alone.
 Work is O(B I K) per step and O(B I K^2) for a whole stack.  Memory is the
-stack and its masked copy, 2 B I K floats, plus the held tones' scaled
-gains, at most B K of them.
+stack, its masked copy and a row per link for the scaled gains of its held
+tones, 3 B I K floats.
 """
 
 import numpy as np
@@ -47,47 +49,51 @@ def _assign_stack(gains, weights, budgets):
     B, I, K = gains.shape
     n = B * I                   # problem b's link i is row b I + i
     free = gains.reshape(n, K).copy()    # taken tones are set to -1, below every real gain
-    rows = np.arange(n)
-    firsts = rows[::I]
+    free_flat = free.reshape(-1)
+    row_starts = np.arange(0, n * K, K)  # flat index of each row's first tone
+    firsts = range(0, n, I)
     p0 = np.concatenate((budgets,) * B)
     w = np.concatenate((weights,) * B)
     held = [[] for _ in range(n)]
-    held_scaled = [[] for _ in range(n)]    # p0 * gain of each held tone, in greedy order
+    held_scaled = np.empty((n, K))  # row r: p0 * gain of r's held tones, in greedy order
     # running sums: base[r] = log-rate of the held tones at the current split,
     # shifted[r] = same tones at the split after one more tone
     base = np.zeros(n)
     shifted = np.zeros(n)
     split = np.ones(n)          # number of held tones + 1
-    split_col = split[:, None]
 
     for _ in range(K):
         nominee = free.argmax(axis=1)
-        scaled = p0 * free[rows, nominee]
+        scaled = p0 * free_flat.take(nominee + row_starts)
         bid = np.log1p(scaled / split)
         margin = w * (shifted + bid - base)
         by_count = {}           # winners grouped by their new number of held tones
-        for r in (margin.reshape(B, I).argmax(axis=1) + firsts).tolist():
+        for first, i in zip(firsts, margin.reshape(B, I).argmax(axis=1).tolist()):
+            r = first + i
             if not margin[r] > 0.0:
                 continue                        # nobody in this problem gains from another tone
             k = int(nominee[r])
-            first = r - r % I
             free[first:first + I, k] = -1.0
             mine = held[r]
             mine.append(k)
-            held_scaled[r].append(float(scaled[r]))
+            held_scaled[r, len(mine) - 1] = scaled[r]
             base[r] = shifted[r] + bid[r]
             split[r] = len(mine) + 1.0
             by_count.setdefault(len(mine), []).append(r)
         if not by_count:
             break
-        # .sum(axis=1) adds each row in greedy order, the same floats as a 1-D
-        # .sum() over one link's tones; a zero-padded row would add in another
-        # order, hence one sum per held count
-        for winners in by_count.values():
-            rs = np.array(winners)
-            held_rows = np.array([held_scaled[r] for r in winners])
-            shifted[rs] = np.log1p(held_rows / split_col[rs]).sum(axis=1)
-    return [held[first:first + I] for first in firsts.tolist()]
+        # a sum along axis 1 adds each row in greedy order, the same floats as
+        # a 1-D sum over one link's tones; a zero-padded row would add in
+        # another order, hence one sum per held count.  A lone winner takes
+        # the 1-D sum of its row's slice, which costs fewer numpy calls.
+        for count, winners in by_count.items():
+            if len(winners) == 1:
+                r = winners[0]
+                shifted[r] = np.add.reduce(np.log1p(held_scaled[r, :count] / (count + 1.0)))
+            else:
+                held_rows = held_scaled[winners, :count]
+                shifted[winners] = np.add.reduce(np.log1p(held_rows / (count + 1.0)), axis=1)
+    return [held[first:first + I] for first in firsts]
 
 
 def soa_allocate(problem: TSProblem, power_mode: str = "equal") -> Allocation:

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from smallcell.channel import ScenarioConfig
 from smallcell.harness import _trial_realization
 from smallcell.tssolver import (TSProblem, Allocation, dual_value, subgradient_solve,
-                                recover_primal, water_fill, default_multipliers, LAM_FLOOR)
+                                recover_primal, water_fill, default_multipliers, LAM_FLOOR,
+                                _share_fill)
 from smallcell.baselines import oracle_orthogonal
 from smallcell.soa import soa_allocate
 
@@ -115,9 +117,94 @@ class TestSubgradientSolve:
         assert res.iterations == 500 and not res.converged
 
     def test_early_stop_reports_convergence(self):
+        # one link holds the only tone, so every TS point is the optimum and
+        # the run stops as soon as the best dual value is within tol of it
         prob = TSProblem(gains=[[1.0]], weights=[1.0], budgets=[1.0])
         res = subgradient_solve(prob, max_iters=10000, tol=1e-6)
-        assert res.converged and res.iterations < 10000
+        assert res.converged and res.iterations < 10000 and res.iterations % 10 == 0
+        assert 0.0 <= res.gap <= 1e-6
+        assert res.best_dual - np.log(2.0) <= 1e-6 * res.best_dual + 1e-15
+
+    def test_no_check_reports_infinite_gap(self):
+        prob = random_problem(np.random.default_rng(2))
+        for max_iters, tol in ((500, None), (9, 1e-4)):
+            res = subgradient_solve(prob, max_iters=max_iters, tol=tol)
+            assert res.iterations == max_iters and not res.converged and res.gap == np.inf
+
+    def test_converged_means_gap_within_tol(self):
+        rng = np.random.default_rng(14)
+        outcomes = set()
+        for _ in range(30):
+            prob = random_problem(rng, int(rng.integers(1, 5)), int(rng.integers(1, 7)),
+                                  gain_scale=10.0 ** rng.uniform(-3.0, 3.0))
+            tol = float(rng.choice([1e-2, 1e-4, 1e-6]))
+            res = subgradient_solve(prob, max_iters=400, tol=tol)
+            assert np.isfinite(res.gap)
+            assert res.converged == (res.gap <= tol)
+            assert res.converged or res.iterations == 400
+            outcomes.add(res.converged)
+        assert outcomes == {False, True}
+
+    def test_stalled_start_is_not_reported_converged(self):
+        # the median start prices the 1e-3 tone out and the steps are too
+        # small to recover: the dual stays far above the optimum
+        prob = TSProblem(gains=[[1e-9, 1e-3]], weights=[1.0], budgets=[1.0])
+        res = subgradient_solve(prob)
+        assert res.iterations == 10000
+        assert res.converged is False and res.gap > 1e-4
+
+    def test_ts_point_against_one_dimensional_share_search(self):
+        # I=2, K=1: with shares (T, 1 - T) each link spends its whole budget
+        # on the tone, so the TS value is a closed form in T
+        gains, weights, budgets = np.array([3.0, 0.5]), np.array([1.0, 2.0]), np.array([2.0, 5.0])
+        prob = TSProblem(gains=gains[:, None], weights=weights, budgets=budgets)
+
+        def value(T):
+            shares = np.stack([T, 1.0 - T], axis=-1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = shares * np.log1p(gains * budgets / shares)
+            return np.where(shares > 0.0, terms, 0.0) @ weights
+
+        fill = _share_fill(prob)
+        for T in (0.0, 1e-6, 0.25, 0.5, 0.9, 1.0):
+            power, got = fill(np.array([[T], [1.0 - T]]))
+            assert got == pytest.approx(value(T), rel=1e-12)
+            assert np.allclose(power[:, 0], np.where([T > 0.0, T < 1.0], budgets, 0.0), rtol=1e-12)
+
+        grid = np.linspace(0.0, 1.0, 10001)
+        best = grid[np.argmax(value(grid))]
+        lo, hi = max(best - 1e-4, 0.0), min(best + 1e-4, 1.0)
+        for _ in range(100):                    # golden-section refinement
+            a, b = hi - 0.618 * (hi - lo), lo + 0.618 * (hi - lo)
+            lo, hi = (lo, b) if value(a) >= value(b) else (a, hi)
+        optimum = value((lo + hi) / 2)
+
+        res = subgradient_solve(prob, tol=1e-6)
+        assert res.converged
+        assert res.best_dual >= optimum * (1 - 1e-12)
+        assert res.best_dual - optimum <= 1e-6 * res.best_dual
+        ts_value = res.best_dual * (1.0 - res.gap)
+        assert ts_value <= optimum * (1 + 1e-12)
+
+    def test_ts_point_feasible_and_within_reach_of_the_dual(self):
+        # the convex check that always runs: the instances of
+        # test_matches_convex_reference, with the TS point standing in for cvxpy
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            prob = random_problem(rng, num_links=3, num_tones=4)
+            res = subgradient_solve(prob, max_iters=10000)
+            assert res.converged
+            share = _reference_shares(prob, _reference_solve(prob, res.iterations)["winners"],
+                                      res.iterations)
+            power, ts_value = _share_fill(prob)(share)
+            assert np.all((share >= 0.0) & (share <= 1.0))
+            assert np.all(share.sum(axis=0) <= 1.0 + 1e-12)
+            assert np.all(power >= 0.0)
+            assert np.all(power.sum(axis=1) <= prob.budgets * (1 + 1e-12))
+            assert np.all(power[share == 0.0] == 0.0)
+            assert ts_value == pytest.approx(_reference_ts_value(prob, share), rel=1e-12)
+            assert ts_value == pytest.approx(res.best_dual * (1.0 - res.gap), rel=1e-12)
+            assert -1e-12 <= res.best_dual - ts_value <= 1e-3
 
     def test_matches_convex_reference(self):
         cvxpy = pytest.importorskip("cvxpy")
@@ -229,8 +316,13 @@ def _reference_dual(problem, lam):
     return value, problem.budgets - drawn, winner
 
 
-def _reference_solve(problem, max_iters, tol):
-    """The subgradient loop as first written: clip, a floor on every evaluation, array traces."""
+def _reference_solve(problem, max_iters):
+    """The subgradient loop as first written, run for all max_iters iterations.
+
+    Clip, a floor on every evaluation, array traces; it has no stop rule, so
+    a shorter run is a prefix of a longer one.  Also keeps each iteration's
+    winners.
+    """
     a, b = 1.0, 10.0
     lam_max = problem.num_tones * problem.weights / problem.budgets
     lam = np.clip(default_multipliers(problem), LAM_FLOOR, lam_max)
@@ -238,11 +330,11 @@ def _reference_solve(problem, max_iters, tol):
     radius2 = float(np.sum(np.maximum(lam, lam_max - lam) ** 2 / scale))
     best_tr = np.empty(max_iters)
     bound_tr = np.empty(max_iters)
+    winners = []
     best, best_lam = np.inf, lam.copy()
     gmax2 = sum_a = sum_a2 = 0.0
-    converged = False
     for t in range(1, max_iters + 1):
-        value, subgrad, _ = _reference_dual(problem, lam)
+        value, subgrad, winner = _reference_dual(problem, lam)
         if value < best:
             best, best_lam = value, lam.copy()
         alpha = a / (b + t)
@@ -251,15 +343,51 @@ def _reference_solve(problem, max_iters, tol):
         gmax2 = max(gmax2, float(np.sum(scale * subgrad ** 2)))
         best_tr[t - 1] = best
         bound_tr[t - 1] = (radius2 + gmax2 * sum_a2) / sum_a
-        if tol is not None and t > 100:
-            if best_tr[t - 101] - best <= tol * max(abs(best), 1e-30):
-                converged = True
-                break
-        if t == max_iters:
-            break
+        winners.append(winner)
         lam = np.clip(lam - alpha * scale * subgrad, LAM_FLOOR, lam_max)
-    return dict(best_dual=best, best_multipliers=best_lam, iterations=t, converged=converged,
-                best_trace=best_tr[:t], bound_trace=bound_tr[:t])
+    return dict(best_dual=best, best_multipliers=best_lam, best_trace=best_tr,
+                bound_trace=bound_tr, winners=np.array(winners))
+
+
+def _reference_shares(problem, winners, t):
+    """Time-sharing shares after t iterations: each link's fraction of the
+    tones it won over iterations t//2 + 1 .. t."""
+    window = winners[t // 2:t]
+    return np.array([(window == i).mean(axis=0) for i in range(problem.num_links)])
+
+
+def _reference_ts_value(problem, share):
+    """Weighted sum rate of the share-weighted water fill, link by link.
+
+    Link i puts p = T (nu - 1/g) on its wet entries, with nu found by
+    dropping the weakest floor until every kept floor lies under the level.
+    """
+    total = 0.0
+    for gains, shares, weight, budget in zip(problem.gains, share, problem.weights,
+                                             problem.budgets):
+        with np.errstate(divide="ignore", over="ignore"):
+            floors = 1.0 / gains
+        kept = sorted((f, s, g) for f, s, g in zip(floors, shares, gains)
+                      if s > 0.0 and np.isfinite(f))
+        while kept:
+            level = (budget + sum(s * f for f, s, _ in kept)) / sum(s for _, s, _ in kept)
+            if level > kept[-1][0]:
+                break
+            kept.pop()
+        total += weight * sum(s * math.log(g * level) for _, s, g in kept)
+    return total
+
+
+def _reference_stop(problem, ref, tol):
+    """First multiple of 10 at which the reference run's relative gap is
+    within tol, with that gap; (None, None) if no check certifies."""
+    for t in range(10, len(ref["best_trace"]) + 1, 10):
+        best = ref["best_trace"][t - 1]
+        value = _reference_ts_value(problem, _reference_shares(problem, ref["winners"], t))
+        gap = (best - value) / max(abs(best), 1e-30)
+        if abs(gap) <= tol:
+            return t, gap
+    return None, None
 
 
 def _sandwich_pool():
@@ -268,7 +396,7 @@ def _sandwich_pool():
             cfg = ScenarioConfig(num_links=num_links, num_tones=4, rng_seed=seed)
             real = _trial_realization(cfg, seed, 0)
             yield (TSProblem(gains=real.direct_gain, weights=np.ones(num_links),
-                             budgets=np.full(num_links, cfg.max_power_mw)), 2000, 1e-6)
+                             budgets=np.full(num_links, cfg.max_power_mw)), 2000, 1e-4)
 
 
 def _shaped(make, max_iters, tol, shapes=((3, 4), (2, 6), (4, 3), (1, 5), (3, 1), (1, 1))):
@@ -326,21 +454,30 @@ REFERENCE_CASES = {
 
 
 class TestSubgradientMatchesReference:
-    """The per-problem dual kernel and lean loop repeat the reference loop bit for bit."""
+    """The per-problem dual kernel and lean loop repeat the reference loop bit for bit.
+
+    A run with a tol must stop at the first multiple of 10 at which the
+    reference's own certificate holds, or else run all max_iters; either
+    way it is a prefix of the reference run, which has no stop rule.
+    """
 
     @pytest.mark.parametrize("group", list(REFERENCE_CASES))
     def test_solve_and_recovery_bit_identical(self, group):
         for prob, max_iters, tol in REFERENCE_CASES[group]():
             with np.errstate(over="ignore"):
-                want = _reference_solve(prob, max_iters, tol)
                 got = subgradient_solve(prob, max_iters=max_iters, tol=tol)
+                want = _reference_solve(prob, got.iterations)
+                stop, gap = (None, None) if tol is None else _reference_stop(prob, want, tol)
                 _, _, winner = _reference_dual(prob, want["best_multipliers"])
                 ref = Allocation.from_sets(prob, [np.flatnonzero(winner == i)
                                                   for i in range(prob.num_links)])
                 alloc = recover_primal(prob, got.best_multipliers)
+            assert got.iterations == (stop or max_iters)
+            assert got.converged == (stop is not None)
+            if got.converged:
+                assert got.gap <= tol
+                assert got.gap == pytest.approx(gap, rel=1e-9, abs=1e-15)
             assert got.best_dual == want["best_dual"]
-            assert got.iterations == want["iterations"]
-            assert got.converged == want["converged"]
             for field in ("best_multipliers", "best_trace", "bound_trace"):
                 assert getattr(got, field).tobytes() == want[field].tobytes(), field
             assert alloc.share.tobytes() == ref.share.tobytes()
