@@ -3,7 +3,8 @@
 __version__ = "0.1.0"
 
 from .channel import ScenarioConfig, ChannelRealization, drop_topology, pathloss_db, realize_channels
-from .signaling import QuantizationTable, SignalPair, GainView, build_cdf_table, encode, decode, run_signaling_slot
+from .signaling import (QuantizationTable, GainView, build_cdf_table, encode_powers, decode_levels,
+                        run_signaling_slot)
 from .tssolver import TSProblem, Allocation, SubgradientResult
 from .tssolver import dual_value, subgradient_solve, recover_primal, water_fill
 from .soa import assign_channels, soa_allocate

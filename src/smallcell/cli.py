@@ -10,19 +10,28 @@ from .harness import (ALGORITHMS, run_experiment, run_distributed_slots,
 from .tssolver import POWER_MODES
 
 
-def _add_scenario_flags(p, links_as_list=False, radius_as_list=False):
+def _add_scenario_flags(p, sweep=False):
+    """Scenario flags; with sweep, --radius and --links take comma lists."""
     p.add_argument("--config", help="flat key=value scenario file; flags override it")
     p.add_argument("--scenario", choices=SCENARIOS)
-    if radius_as_list:
+    if sweep:
         p.add_argument("--radius", help="comma list of cell radii in meters to sweep")
-    else:
-        p.add_argument("--radius", type=float, help="cell radius in meters")
-    if links_as_list:
         p.add_argument("--links", help="comma list of link counts to sweep (default 2..10)")
     else:
+        p.add_argument("--radius", type=float, help="cell radius in meters")
         p.add_argument("--links", type=int, help="number of links")
     p.add_argument("--tones", type=int, help="number of tones")
     p.add_argument("--seed", type=int, help="master seed")
+
+
+def _add_experiment_flags(p):
+    """The run_experiment flags that sim and sweep share."""
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--algos", default="SOA,IWFA", help="comma list from " + ",".join(ALGORITHMS))
+    p.add_argument("--power-mode", choices=POWER_MODES, default="equal")
+    p.add_argument("--signaling-overhead", type=float, default=0.0,
+                   help="fraction of each slot spent signaling, discounts throughput")
+    p.add_argument("--out", help="records CSV path")
 
 
 def _build_cfg(args, links=None, radius=None):
@@ -106,12 +115,7 @@ def main(argv=None) -> int:
 
     p_sim = sub.add_parser("sim", help="solve independent instances and record objectives")
     _add_scenario_flags(p_sim)
-    p_sim.add_argument("--trials", type=int, default=100)
-    p_sim.add_argument("--algos", default="SOA,IWFA", help="comma list from " + ",".join(ALGORITHMS))
-    p_sim.add_argument("--power-mode", choices=POWER_MODES, default="equal")
-    p_sim.add_argument("--signaling-overhead", type=float, default=0.0,
-                       help="fraction of each slot spent signaling, discounts throughput")
-    p_sim.add_argument("--out", help="records CSV path")
+    _add_experiment_flags(p_sim)
     p_sim.set_defaults(func=_cmd_sim)
 
     p_slots = sub.add_parser("slots", help="run the slotted protocol with signaling losses")
@@ -125,12 +129,8 @@ def main(argv=None) -> int:
     p_slots.set_defaults(func=_cmd_slots)
 
     p_sweep = sub.add_parser("sweep", help="repeat sim over link counts or radii")
-    _add_scenario_flags(p_sweep, links_as_list=True, radius_as_list=True)
-    p_sweep.add_argument("--trials", type=int, default=100)
-    p_sweep.add_argument("--algos", default="SOA,IWFA")
-    p_sweep.add_argument("--power-mode", choices=POWER_MODES, default="equal")
-    p_sweep.add_argument("--signaling-overhead", type=float, default=0.0)
-    p_sweep.add_argument("--out", help="records CSV path")
+    _add_scenario_flags(p_sweep, sweep=True)
+    _add_experiment_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     args = parser.parse_args(argv)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import ScenarioConfig, check_seed, drop_topology, realize_channels, pathloss_db
 from .signaling import build_cdf_table, run_signaling_slot
-from .tssolver import (POWER_MODES, TSProblem, Allocation, split_power, subgradient_solve,
+from .tssolver import (POWER_MODES, TSProblem, Allocation, power_phase, subgradient_solve,
                        recover_primal, _check_count)
 from .soa import soa_allocate, _assign_stack
 from .baselines import OracleTooLarge, iwfa_solve, oracle_orthogonal, evaluate_concurrent
@@ -192,7 +192,7 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
     blocked propagation path stays blocked), so every link holds a fixed
     decoded view.  Each slot, every link greedily schedules itself from its
     own view, excluding tones it has given up, and splits its budget over
-    the tones it won with tssolver.split_power (the power phase every
+    the tones it won with tssolver.power_phase (the power phase every
     orthogonal allocation uses).  A link claims the tones it powers, listed
     in the order the greedy handed them out; tones claimed by two or more
     links collide and every collider independently abandons the tone for
@@ -202,10 +202,11 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
     give-up set, so a link re-schedules only in the slot after it gives up a
     new tone; each state's rescheduled lists those links (every link in slot
     0).  The links re-scheduling in one slot run their greedies as one stack
-    (soa._assign_stack over their B local views, 3 B I K floats); each then
-    splits its budget over its own row's tones.  A slot where no link
-    re-schedules shares the previous state's claims, powers, collisions and
-    rates, so treat them as read-only.
+    (soa._assign_stack over their B local views, 3 B I K floats), and one
+    power_phase call splits their budgets over the (B, K) stack of their own
+    rows of those views.  A slot where no link re-schedules shares the
+    previous state's claims, powers, collisions and rates, so treat them as
+    read-only; a slot that re-schedules writes into copies of them.
     """
     cfg.validate()
     if not 0.0 <= p_loss <= 1.0:
@@ -232,7 +233,8 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
 
     giveup_rng = np.random.default_rng((master_seed, 0, 4))
     given_up = [set() for _ in range(I)]
-    schedule = [None] * I    # per link (claims, power row)
+    claims = [[] for _ in range(I)]
+    power = np.zeros((I, K))
     stale = set(range(I))    # links that gave up a new tone since they last scheduled
     states = []
 
@@ -244,11 +246,14 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
             for b, i in enumerate(rescheduled):
                 local[b] = views[i].effective_gains()
                 local[b, i, list(given_up[i])] = 0.0    # own abandoned tones are off the table
-            won = _assign_stack(local, weights, budgets)
-            for b, i in enumerate(rescheduled):
-                schedule[i] = _schedule_link(local[b, i], won[b][i], budgets[i], power_mode)
-            claims = [list(mine) for mine, _ in schedule]
-            power = np.vstack([row for _, row in schedule])
+            won = [sets[i] for sets, i in zip(_assign_stack(local, weights, budgets), rescheduled)]
+            _, rows = power_phase(local[np.arange(len(rescheduled)), rescheduled], won,
+                                  budgets.take(rescheduled), power_mode)
+            claims = list(claims)    # earlier states keep theirs
+            power = power.copy()
+            power[list(rescheduled)] = rows
+            for i, mine, row in zip(rescheduled, won, rows):
+                claims[i] = [k for k in mine if row[k] > 0.0]
             claimed = power > 0.0    # a link claims exactly the tones it powers
             collisions = [(int(k), np.flatnonzero(claimed[:, k]).tolist())
                           for k in np.flatnonzero(claimed.sum(axis=0) >= 2)]
@@ -273,12 +278,6 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
                     given_up[i].add(tone)    # always a new tone: a given-up tone is never claimed
                     stale.add(i)
     return states
-
-
-def _schedule_link(gains, won, budget, power_mode):
-    """One link's claimed tones and power row: its budget split over the tones it won."""
-    row = split_power(gains, won, budget, power_mode)
-    return [k for k in won if row[k] > 0.0], row
 
 
 def summarize(records):

@@ -13,8 +13,7 @@ sub-slot.
 The two-burst formula is written once, over arrays: encode_powers maps gains
 to transmit power pairs and decode_levels maps received power pairs back to
 levels.  run_signaling_slot pushes every (sender, receiver, tone) burst pair
-of a slot through them at once, one receiver at a time; the scalar encode and
-decode are thin wrappers over the same two functions.
+of a slot through them at once, one receiver at a time.
 """
 
 from dataclasses import dataclass
@@ -38,16 +37,6 @@ class QuantizationTable:
     def level_index(self, g):
         """Index of the smallest level at or above each g, clamped to the top level."""
         return np.minimum(np.searchsorted(self.gain_levels, g, side="left"), self.size - 1)
-
-
-@dataclass(frozen=True)
-class SignalPair:
-    """Two received burst powers from one sender on one tone."""
-
-    s1: float   # reference burst, mW
-    s2: float   # scaled burst, mW
-    tone: int = 0
-    sender: int = 0
 
 
 @dataclass
@@ -114,17 +103,6 @@ def decode_levels(s1, s2, table: QuantizationTable):
                          f"outside (0, {1 + RATIO_TOL:.2f}]")
     idx = np.argmin(np.abs(table.f_values - ratio[..., None]), axis=-1)
     return table.gain_levels[idx]
-
-
-def encode(g: float, table: QuantizationTable, p0_mw: float):
-    """Transmit powers (reference, scaled) announcing gain g."""
-    tx1, tx2 = encode_powers(g, table, p0_mw)
-    return tx1, float(tx2)
-
-
-def decode(sig: SignalPair, table: QuantizationTable) -> float:
-    """Recover the announced gain level from one received pair (see decode_levels)."""
-    return float(decode_levels(sig.s1, sig.s2, table))
 
 
 def run_signaling_slot(realization, table: QuantizationTable, p0_mw: float, loss_mask=None):

@@ -15,6 +15,13 @@ from the problem's gains and weights and maps multipliers to the dual value,
 its subgradient and the per-tone winners.  subgradient_solve calls it every
 iteration; dual_value and recover_primal call it once.
 
+One function (power_phase) splits budgets once tones are won: over a stack
+of gain rows, each row takes its tone set at full share and splits its
+budget over it equally or by water filling.  Every orthogonal allocation
+(SOA, primal recovery, the Oracle) goes through it via
+Allocation.from_sets, and the slotted protocol calls it for the links that
+re-schedule in a slot.
+
 subgradient_solve stops at a certified gap.  The winners of the last half of
 the run, averaged, are time-sharing shares; water-filling every link's
 budget weighted by them (_share_fill) gives a feasible time-sharing point,
@@ -103,49 +110,40 @@ class Allocation:
 
     @classmethod
     def from_sets(cls, problem: TSProblem, sets, power_mode: str = "waterfill") -> "Allocation":
-        """The power phase: link i takes every tone of sets[i] at full share.
-
-        power_mode "equal" splits every link's budget evenly over its set in
-        one flat scatter over all links, the same division split_power
-        makes; "waterfill" takes each link's row from split_power.  Scored
-        by from_power.
-        """
-        if power_mode not in POWER_MODES:
-            raise ValueError(f"unknown power_mode {power_mode!r}, expected one of {POWER_MODES}")
-        share = np.zeros(problem.gains.shape)
-        power = np.zeros(problem.gains.shape)
-        counts = np.array([len(tones) for tones in sets], dtype=np.intp)
-        rows = np.repeat(np.arange(counts.size), counts)
-        flat = rows * problem.num_tones + np.fromiter(chain.from_iterable(sets), dtype=np.intp,
-                                                     count=int(counts.sum()))
-        share.reshape(-1)[flat] = 1.0
-        if power_mode == "equal":
-            power.reshape(-1)[flat] = (problem.budgets / np.maximum(counts, 1)).take(rows)
-        else:
-            for i, tones in enumerate(sets):
-                power[i] = split_power(problem.gains[i], tones, problem.budgets[i], power_mode)
+        """Link i takes every tone of sets[i] at full share and splits its
+        budget over them (power_phase); scored by from_power."""
+        share, power = power_phase(problem.gains, sets, problem.budgets, power_mode)
         return cls.from_power(problem, share, power)
 
 
-def split_power(gains, tones, budget, power_mode: str) -> np.ndarray:
-    """One link's power row: its budget split over the given tones.
+def power_phase(gains, sets, budgets, power_mode: str):
+    """The power phase over an (n, K) stack of gain rows: row r takes every
+    tone of sets[r] at full share and splits budgets[r] over them.
 
-    power_mode "equal" splits the budget evenly over the tones; "waterfill"
-    water-fills it over the positive-gain ones, and a zero-gain tone gets no
-    power.  Tones are used in the given order, since water_fill's rounding
-    fix-up sums in input order.
+    Returns (share, power), both (n, K).  power_mode "equal" splits each
+    budget evenly over its set, for all rows in one flat scatter;
+    "waterfill" water-fills it over the set's positive-gain tones, and a
+    zero-gain tone keeps its share but gets no power.  Tones are water-filled
+    in the set's order, since water_fill's rounding fix-up sums in input
+    order.  Each row's result is the one it gets alone.
     """
     if power_mode not in POWER_MODES:
         raise ValueError(f"unknown power_mode {power_mode!r}, expected one of {POWER_MODES}")
-    row = np.zeros(len(gains))
-    tones = np.asarray(tones, dtype=int)
+    share = np.zeros(gains.shape)
+    power = np.zeros(gains.shape)
+    counts = [len(tones) for tones in sets]
+    flat = np.repeat(np.arange(len(sets)) * gains.shape[1], counts)
+    flat += np.fromiter(chain.from_iterable(sets), dtype=np.intp, count=sum(counts))
+    share.put(flat, 1.0)
     if power_mode == "equal":
-        row[tones] = budget / max(tones.size, 1)
-        return row
-    wet = tones[gains[tones] > 0.0]
-    if wet.size:
-        row[wet] = water_fill(gains[wet], float(budget))
-    return row
+        power.put(flat, np.repeat(budgets / np.maximum(counts, 1), counts))
+    else:
+        for row, g, tones, budget in zip(power, gains, sets, budgets):
+            tones = np.asarray(tones, dtype=np.intp)
+            wet = tones[g[tones] > 0.0]
+            if wet.size:
+                row[wet] = water_fill(g[wet], float(budget))
+    return share, power
 
 
 @dataclass

@@ -21,7 +21,7 @@ from smallcell.harness import _trial_realization, run_experiment, run_distribute
 from smallcell.tssolver import TSProblem, subgradient_solve, recover_primal, water_fill
 from smallcell.soa import soa_allocate
 from smallcell.baselines import oracle_orthogonal
-from smallcell.signaling import SignalPair, build_cdf_table, encode, decode
+from smallcell.signaling import build_cdf_table, decode_levels, encode_powers
 
 
 def _report(num, label, ok, detail):
@@ -204,15 +204,15 @@ def test_signaling_roundtrip_exhaustive():
     attenuations = rng.lognormal(-8.0, 3.0, 100)
     errors = 0
     for level in table.gain_levels:
-        s1, s2 = encode(float(level), table, p0)
+        s1, s2 = encode_powers(level, table, p0)
         for a in attenuations:
-            got = decode(SignalPair(s1=a * s1, s2=a * s2), table)
+            got = decode_levels(a * s1, a * s2, table)
             if got != level:
                 errors += 1
 
     # three-level codebook: a received ratio of exactly 2/3 names the middle level
     three = build_cdf_table(np.linspace(1.0, 3.0, 3000), 3)
-    mid = decode(SignalPair(s1=3e-7, s2=2e-7), three)
+    mid = decode_levels(3e-7, 2e-7, three)
     mid_ok = mid == three.gain_levels[1]
     ok = errors == 0 and mid_ok
     assert _report(

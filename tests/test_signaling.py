@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smallcell.channel import ScenarioConfig, drop_topology, realize_channels
-from smallcell.signaling import (QuantizationTable, SignalPair, build_cdf_table,
-                                 encode, decode, run_signaling_slot)
+from smallcell.signaling import (QuantizationTable, build_cdf_table, decode_levels,
+                                 encode_powers, run_signaling_slot)
 
 
 def three_level_table():
@@ -43,41 +43,40 @@ class TestTableConstruction:
 class TestEncodeDecode:
     def test_encode_top_level_full_power(self):
         table = three_level_table()
-        p1, p2 = encode(float(table.gain_levels[2]), table, 100.0)
+        p1, p2 = encode_powers(table.gain_levels[2], table, 100.0)
         assert (p1, p2) == (100.0, pytest.approx(100.0))
 
     def test_encode_middle_level_two_thirds(self):
         table = three_level_table()
-        p1, p2 = encode(float(table.gain_levels[1]), table, 100.0)
+        p1, p2 = encode_powers(table.gain_levels[1], table, 100.0)
         assert p2 == pytest.approx(100.0 * 2 / 3)
 
     def test_below_bottom_clamps_to_bottom(self):
         table = three_level_table()
         tiny = float(table.gain_levels[0]) / 100.0
-        _, p2 = encode(tiny, table, 100.0)
+        _, p2 = encode_powers(tiny, table, 100.0)
         assert p2 == pytest.approx(100.0 / 3)
 
     def test_ratio_two_thirds_decodes_middle(self):
         table = three_level_table()
-        sig = SignalPair(s1=3.0e-7, s2=2.0e-7)
-        assert decode(sig, table) == float(table.gain_levels[1])
+        assert decode_levels(3.0e-7, 2.0e-7, table) == float(table.gain_levels[1])
 
     def test_round_trip_through_random_cross_gains(self):
         rng = np.random.default_rng(2)
         table = build_cdf_table(rng.lognormal(0.0, 2.0, 5000), 8)
         for level in table.gain_levels:
             for h in rng.lognormal(-8.0, 3.0, 20):
-                p1, p2 = encode(float(level), table, 100.0)
-                assert decode(SignalPair(s1=h * p1, s2=h * p2), table) == float(level)
+                p1, p2 = encode_powers(level, table, 100.0)
+                assert decode_levels(h * p1, h * p2, table) == float(level)
 
     @given(scale=st.floats(min_value=1e-12, max_value=1e12),
            idx=st.integers(min_value=0, max_value=7))
     def test_decode_invariant_to_common_scaling(self, scale, idx):
         rng = np.random.default_rng(3)
         table = build_cdf_table(rng.lognormal(0.0, 2.0, 5000), 8)
-        p1, p2 = encode(float(table.gain_levels[idx]), table, 50.0)
-        plain = decode(SignalPair(s1=p1, s2=p2), table)
-        scaled = decode(SignalPair(s1=scale * p1, s2=scale * p2), table)
+        p1, p2 = encode_powers(table.gain_levels[idx], table, 50.0)
+        plain = decode_levels(p1, p2, table)
+        scaled = decode_levels(scale * p1, scale * p2, table)
         assert plain == scaled
 
     def test_one_percent_noise_never_misreads_16_levels(self):
@@ -87,24 +86,24 @@ class TestEncodeDecode:
         errors = 0
         for _ in range(500):
             level = float(rng.choice(table.gain_levels))
-            p1, p2 = encode(level, table, 100.0)
+            p1, p2 = encode_powers(level, table, 100.0)
             jitter = rng.uniform(0.99, 1.01, size=2)
-            got = decode(SignalPair(s1=p1 * jitter[0], s2=p2 * jitter[1]), table)
+            got = decode_levels(p1 * jitter[0], p2 * jitter[1], table)
             errors += got != level
         assert errors == 0
 
     def test_malformed_ratio_raises(self):
         table = three_level_table()
         with pytest.raises(ValueError, match="malformed"):
-            decode(SignalPair(s1=1.0, s2=2.0), table)
+            decode_levels(1.0, 2.0, table)
         with pytest.raises(ValueError):
-            decode(SignalPair(s1=0.0, s2=1.0), table)
+            decode_levels(0.0, 1.0, table)
 
     def test_non_finite_received_power_raises(self):
         table = three_level_table()
         for s1, s2 in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)):
             with pytest.raises(ValueError, match="received powers"):
-                decode(SignalPair(s1=s1, s2=s2), table)
+                decode_levels(s1, s2, table)
 
 
 def small_realization(num_links=4, num_tones=10, seed=0):
@@ -157,7 +156,7 @@ class TestSignalingSlot:
 
 
 def per_pair_views(realization, table, p0_mw, loss_mask):
-    """Reference signaling slot: one encode -> SignalPair -> decode per (sender, receiver, tone)."""
+    """Reference signaling slot: one encode_powers -> decode_levels per (sender, receiver, tone)."""
     I, K = realization.num_links, realization.num_tones
     views = []
     for j in range(I):
@@ -168,9 +167,8 @@ def per_pair_views(realization, table, p0_mw, loss_mask):
                 if loss_mask[i, j, k]:
                     continue
                 h = realization.cross_gain[i, j, k]
-                tx1, tx2 = encode(realization.direct_gain[i, k], table, p0_mw)
-                sig = SignalPair(s1=h * tx1, s2=h * tx2, tone=k, sender=i)
-                gains[i, k] = decode(sig, table)
+                tx1, tx2 = encode_powers(realization.direct_gain[i, k], table, p0_mw)
+                gains[i, k] = decode_levels(h * tx1, h * tx2, table)
                 missing[i, k] = False
         views.append((gains, missing))
     return views

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from smallcell.channel import ScenarioConfig
 from smallcell.harness import _trial_realization
 from smallcell.tssolver import (TSProblem, Allocation, dual_value, subgradient_solve,
-                                recover_primal, water_fill, default_multipliers, LAM_FLOOR,
-                                _share_fill)
+                                recover_primal, water_fill, default_multipliers, power_phase,
+                                LAM_FLOOR, _share_fill)
 from smallcell.baselines import oracle_orthogonal
 from smallcell.soa import soa_allocate
 
@@ -582,6 +582,37 @@ class TestFromSets:
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError, match="power_mode"):
             Allocation.from_sets(self.PROB, [[0], [1]], power_mode="peak")
+
+
+class TestPowerPhase:
+    @pytest.mark.parametrize("mode", ["equal", "waterfill"])
+    @pytest.mark.parametrize("num_tones", [1, 8])
+    def test_stack_matches_each_row_alone(self, mode, num_tones):
+        rng = np.random.default_rng(21)
+        n = 9
+        gains = rng.lognormal(0.0, 2.0, (n, num_tones))
+        gains[rng.random((n, num_tones)) < 0.3] = 0.0
+        gains[2] = 0.0                        # a row whose set holds only zero-gain tones
+        budgets = rng.uniform(0.5, 50.0, n)
+        sets = [rng.permutation(num_tones)[:rng.integers(1, num_tones + 1)].tolist()
+                for _ in range(n)]
+        sets[0] = []
+        sets[1] = np.array([], dtype=int)
+        share, power = power_phase(gains, sets, budgets, mode)
+        for r in range(n):
+            alone = power_phase(gains[r:r + 1], sets[r:r + 1], budgets[r:r + 1], mode)
+            assert np.array_equal(share[r], alone[0][0])
+            assert np.array_equal(power[r], alone[1][0])
+        assert share.sum() == sum(len(tones) for tones in sets)
+        assert not power[:2].any()
+        in_sets = share > 0.0
+        dry = in_sets & (gains == 0.0)
+        assert dry[2].any()
+        if mode == "waterfill":
+            assert not power[dry].any()       # zero-gain tones keep their share, get no power
+            assert not power[2].any()
+        else:
+            assert np.all(power[in_sets] > 0.0)
 
 
 class TestWaterFill:
