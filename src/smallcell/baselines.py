@@ -14,7 +14,7 @@ Rates are natural-log units per tone use, consistent with tssolver.
 from dataclasses import dataclass
 import numpy as np
 
-from .tssolver import TSProblem, Allocation, water_fill, _check_count
+from .tssolver import TSProblem, Allocation, _check_count, _water_fill_core
 
 ORACLE_MAX_ASSIGNMENTS = 10 ** 6
 IWFA_EPS_MW = 1e-6  # IWFA settles once a round moves no power entry by this much
@@ -74,11 +74,25 @@ def iwfa_solve(realization, budgets, max_rounds: int = 200) -> InterferenceAlloc
     if not np.all((budgets > 0.0) & (budgets < np.inf)):
         raise ValueError("budgets must be finite and strictly positive")
     noise = realization.noise_power_mw
+    if not (np.all((cross >= 0.0) & (cross < np.inf)) and 0.0 < noise < np.inf):
+        raise ValueError("cross gains must be finite and non-negative, noise finite and positive")
     # per link: the gains from every transmitter into its receiver, its own
-    # direct gains and its budget
-    links = [(cross[:, i, :], cross[i, i, :], float(budgets[i])) for i in range(I)]
+    # direct gains, its budget and its positive-gain tones (None when all are)
+    links = []
+    for i in range(I):
+        direct = cross[i, i, :]
+        usable = None if np.minimum.reduce(direct) > 0.0 else np.flatnonzero(direct > 0.0)
+        if usable is not None and usable.size == 0:
+            raise ValueError(f"link {i} has no tone with positive direct gain")
+        links.append((cross[:, i, :], direct, float(budgets[i]), usable))
 
-    power = np.vstack([water_fill(direct / noise, budget) for _, direct, budget in links])
+    # a best response water-fills direct / floor over the positive-gain tones
+    # straight into the link's zeroed power row; with non-negative gains the
+    # floor is never negative, so those tones' gains stay positive
+    power = np.zeros((I, cross.shape[2]))
+    for row, (_, direct, budget, usable) in zip(power, links):
+        gains = direct / noise
+        _water_fill_core(row, gains if usable is None else gains[usable], usable, budget)
 
     deltas = []
     history = []    # history[n]: the powers after n rounds
@@ -88,9 +102,11 @@ def iwfa_solve(realization, budgets, max_rounds: int = 200) -> InterferenceAlloc
         before = power.copy()
         seen.setdefault(before.tobytes(), len(history))
         history.append(before)
-        for i, (incoming, direct, budget) in enumerate(links):
-            floor = noise + np.einsum("jk,jk->k", incoming, power) - direct * power[i]
-            power[i] = water_fill(direct / floor, budget)
+        for row, (incoming, direct, budget, usable) in zip(power, links):
+            floor = noise + np.einsum("jk,jk->k", incoming, power) - direct * row
+            gains = direct / floor
+            row.fill(0.0)
+            _water_fill_core(row, gains if usable is None else gains[usable], usable, budget)
         deltas.append(float(np.abs(power - before).max()))
         if deltas[-1] < IWFA_EPS_MW:
             converged = True
@@ -131,13 +147,22 @@ def oracle_orthogonal(problem: TSProblem):
                              f"({ORACLE_MAX_ASSIGNMENTS}); instance too large for the oracle")
 
     # value[i, m]: link i's weighted rate when it water-fills over the
-    # positive-gain tones of bitmask m (bit k = tone k)
+    # positive-gain tones of bitmask m (bit k = tone k).  Only the masks made
+    # of a link's positive-gain tones are filled; any other mask is worth
+    # its positive part.
+    bits = 1 << np.arange(K)
+    positive = (g > 0.0) @ bits
+    links = list(zip(g, w, b.tolist(), positive.tolist()))
     value = np.zeros((I, 2 ** K))
-    for i in range(I):
-        for m in range(1, 2 ** K):
-            tones = [k for k in range(K) if m >> k & 1 and g[i, k] > 0.0]
-            if tones:
-                value[i, m] = w[i] * np.log1p(g[i, tones] * water_fill(g[i, tones], float(b[i]))).sum()
+    for m in range(1, 2 ** K):
+        tones = np.flatnonzero(m & bits)
+        for i, (gi, wi, bi, pos) in enumerate(links):
+            if m & pos == m:
+                gt = gi.take(tones)
+                p = np.zeros(tones.size)
+                _water_fill_core(p, gt, None, bi)
+                value[i, m] = wi * np.log1p(gt * p).sum()
+    value = np.take_along_axis(value, np.arange(2 ** K) & positive[:, None], axis=1)
 
     # assignment n gives tone k (tone 0 most significant) to link digit_k - 1,
     # digit_k being the k-th base-(I+1) digit of n, as product(range(-1, I)) does

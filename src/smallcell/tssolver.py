@@ -27,7 +27,14 @@ the run, averaged, are time-sharing shares; water-filling every link's
 budget weighted by them (_share_fill) gives a feasible time-sharing point,
 whose value is at most the optimum.  The best dual value minus that value
 therefore bounds the solver's error, and the run stops once it is within
-tol of the best dual value.
+tol of the best dual value, plus LAM_FLOOR times the budgets' sum, the
+most by which the floor on the multipliers can hold the dual up.
+
+Water filling has one checked entry, water_fill, and one unchecked core,
+_water_fill_core, which writes a fill into a given zeroed row.  The callers
+that check their inputs once call the core for every fill: power_phase for
+each row, iwfa_solve for each best response, and oracle_orthogonal for
+each entry of its subset table.
 
 Rates here are in natural-log units per tone use ("nats"); multiply by
 tone_bandwidth / ln 2 for bits/s.  Powers are mW, gains 1/mW.
@@ -79,6 +86,8 @@ class TSProblem:
         object.__setattr__(self, "budgets", b)
         if g.ndim != 2 or w.shape != (g.shape[0],) or b.shape != (g.shape[0],):
             raise ValueError("shape mismatch between gains, weights, budgets")
+        if 0 in g.shape:
+            raise ValueError(f"gains must have at least one link and one tone, got shape {g.shape}")
         if np.any(~np.isfinite(g)) or np.any(g < 0.0):
             raise ValueError("gains must be finite and non-negative")
         if not (np.all((w > 0.0) & (w < np.inf)) and np.all((b > 0.0) & (b < np.inf))):
@@ -123,9 +132,11 @@ def power_phase(gains, sets, budgets, power_mode: str):
     Returns (share, power), both (n, K).  power_mode "equal" splits each
     budget evenly over its set, for all rows in one flat scatter;
     "waterfill" water-fills it over the set's positive-gain tones, and a
-    zero-gain tone keeps its share but gets no power.  Tones are water-filled
-    in the set's order, since water_fill's rounding fix-up sums in input
-    order.  Each row's result is the one it gets alone.
+    zero-gain tone keeps its share but gets no power; it first checks that
+    every budget is finite and positive.  Tones are water-filled in the
+    set's order, into a row of their own, since the rounding fix-up sums
+    the filled row in index order.  Each row's result is the one it gets
+    alone.
     """
     if power_mode not in POWER_MODES:
         raise ValueError(f"unknown power_mode {power_mode!r}, expected one of {POWER_MODES}")
@@ -137,12 +148,16 @@ def power_phase(gains, sets, budgets, power_mode: str):
     share.put(flat, 1.0)
     if power_mode == "equal":
         power.put(flat, np.repeat(budgets / np.maximum(counts, 1), counts))
-    else:
-        for row, g, tones, budget in zip(power, gains, sets, budgets):
-            tones = np.asarray(tones, dtype=np.intp)
-            wet = tones[g[tones] > 0.0]
-            if wet.size:
-                row[wet] = water_fill(g[wet], float(budget))
+        return share, power
+    if not np.all((budgets > 0.0) & (budgets < np.inf)):
+        raise ValueError("budgets must be finite and strictly positive")
+    for row, g, tones, budget in zip(power, gains, sets, budgets):
+        tones = np.asarray(tones, dtype=np.intp)
+        wet = tones[g[tones] > 0.0]
+        if wet.size:
+            fill = np.zeros(wet.size)
+            _water_fill_core(fill, g[wet], None, float(budget))
+            row[wet] = fill
     return share, power
 
 
@@ -151,7 +166,7 @@ class SubgradientResult:
     best_dual: float
     best_multipliers: np.ndarray
     iterations: int
-    converged: bool            # the relative gap was certified <= tol
+    converged: bool            # the gap was certified <= tol, up to LAM_FLOOR * sum(budgets)
     best_trace: np.ndarray     # running best dual value
     bound_trace: np.ndarray    # running a-priori gap bound (R^2 + G^2 sum a^2) / sum a
     gap: float                 # last checked relative gap, inf if none was checked
@@ -301,10 +316,12 @@ def subgradient_solve(problem: TSProblem, max_iters: int = 10000, tol=1e-4) -> S
     time-sharing point.  By weak duality its value is at most the optimum,
     which is at most the best dual value, so
     gap = (best_dual - value) / max(|best_dual|, 1e-30) bounds the relative
-    error of best_dual.  The run stops, converged, once |gap| <= tol; a
-    value above the dual bound by more than tol can only be rounding or
-    overflow and certifies nothing.  tol=None checks nothing and runs all
-    max_iters iterations.  max_iters must be an integer >= 1 and tol None or
+    error of best_dual.  The run stops, converged, once |best_dual - value|
+    is within tol * max(|best_dual|, 1e-30) plus LAM_FLOOR * sum(budgets):
+    the multipliers never drop below LAM_FLOOR, so the dual can stay that
+    far above an optimum that lies below it.  A value above the dual bound
+    by more than that can only be rounding or overflow and certifies
+    nothing.  tol=None checks nothing and runs all max_iters iterations.  max_iters must be an integer >= 1 and tol None or
     finite and >= 0; anything else raises ValueError before the first
     iteration.  With a tol, the winners are kept in one (max_iters, K)
     integer array, 8 * max_iters * K bytes (320 kB at 10,000 iterations and
@@ -340,6 +357,9 @@ def subgradient_solve(problem: TSProblem, max_iters: int = 10000, tol=1e-4) -> S
 
     if tol is not None:
         fill = _share_fill(problem)
+        # lam never drops below LAM_FLOOR, so the dual value can stay this far
+        # above an optimum that lies below it
+        slack = LAM_FLOOR * float(np.add.reduce(problem.budgets))
         # each iteration's winners, as the kernel's tone-major flat index
         # tone * I + winner
         winners = np.empty((max_iters, num_tones), dtype=np.intp)
@@ -376,8 +396,9 @@ def subgradient_solve(problem: TSProblem, max_iters: int = 10000, tol=1e-4) -> S
                 half = t // 2
                 counts = np.bincount(winners[half:t].ravel(), minlength=num_tones * num_links)
                 _, ts_value = fill(counts.reshape(num_tones, num_links).T / (t - half))
-                gap = (best - ts_value) / max(abs(best), 1e-30)
-                if abs(gap) <= tol:
+                size = max(abs(best), 1e-30)
+                gap = (best - ts_value) / size
+                if abs(gap) <= tol + slack / size:
                     converged = True
                     break
         if t == max_iters:
@@ -405,7 +426,8 @@ def water_fill(gains, budget: float) -> np.ndarray:
     1/g_k are measured from the strongest tone's floor instead.  Powers stay
     non-negative and sum to the budget for every finite gain vector; only a
     subnormal gain next to a strong tone still warns that 1/g overflowed
-    (that tone stays dry).
+    (that tone stays dry).  The checks run here; the fill itself is
+    _water_fill_core's.
     """
     g = np.asarray(gains, dtype=float)
     if g.ndim == 0:
@@ -426,14 +448,27 @@ def water_fill(gains, budget: float) -> np.ndarray:
         if usable.size == 0:
             raise ValueError("no tone with positive gain")
         gu = g[usable]
-    gmax = np.maximum.reduce(gu)
+    out = np.zeros(g.shape)
+    _water_fill_core(out, gu, usable, budget)
+    return out
+
+
+def _water_fill_core(out, gains, usable, budget: float) -> None:
+    """Write the water fill of budget over gains into out, a zeroed row.
+
+    gains are the positive gains, at out's entries usable (an index array),
+    or at every entry of out when usable is None; budget is a finite,
+    positive float.  Nothing is checked.  The rounding fix-up sums all of
+    out in index order, so a row's bits depend on where its entries sit.
+    """
+    gmax = np.maximum.reduce(gains)
     if budget * gmax >= WATER_FILL_MIN_SNR:
-        floors = 1.0 / gu
+        floors = 1.0 / gains
     else:
         # a tone whose floor sits a full budget above the strongest one's
         # stays dry, so capping there changes nothing and bounds the sums
         with np.errstate(over="ignore"):
-            floors = np.minimum((gmax / gu - 1.0) / gmax, budget)
+            floors = np.minimum((gmax / gains - 1.0) / gmax, budget)
     order = floors.argsort(kind="stable")
     floors_sorted = floors.take(order)
     floor_list = floors_sorted.tolist()
@@ -445,11 +480,9 @@ def water_fill(gains, budget: float) -> np.ndarray:
         m -= 1
     if usable is not None:
         order = usable[order]
-    out = np.zeros(g.shape)
     out[order[:m]] = (budget + cum[m - 1]) / m - floors_sorted[:m]
     # strongest tone absorbs the summation rounding so the budget binds exactly
     out[order[0]] += budget - np.add.reduce(out)
-    return out
 
 
 def recover_primal(problem: TSProblem, lam) -> Allocation:

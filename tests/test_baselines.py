@@ -5,7 +5,7 @@ import pytest
 
 from smallcell.channel import ChannelRealization, ScenarioConfig
 from smallcell.harness import _trial_realization
-from smallcell.tssolver import TSProblem, water_fill, WATER_FILL_MIN_SNR
+from smallcell.tssolver import TSProblem, water_fill, WATER_FILL_MIN_SNR, _water_fill_core
 from smallcell.soa import soa_allocate
 from smallcell import baselines
 from smallcell.baselines import (InterferenceAllocation, evaluate_concurrent,
@@ -105,6 +105,20 @@ class TestIwfa:
             best = water_fill(cross[i, i, :] / floor, 1.0)
             assert np.allclose(out.power[i], best, atol=1e-5)
 
+    @pytest.mark.parametrize("entry, value", [((0, 1, 2), np.nan), ((1, 0, 0), -1.0),
+                                              ((2, 2, 1), np.inf)])
+    def test_bad_cross_gain_rejected(self, entry, value):
+        real = random_realization(np.random.default_rng(6))
+        real.cross_gain[entry] = value
+        with pytest.raises(ValueError, match="cross gains must be finite and non-negative"):
+            iwfa_solve(real, np.ones(3))
+
+    def test_link_without_a_positive_direct_gain_rejected(self):
+        real = random_realization(np.random.default_rng(6))
+        real.cross_gain[1, 1, :] = 0.0
+        with pytest.raises(ValueError, match="link 1 has no tone with positive direct gain"):
+            iwfa_solve(real, np.ones(3))
+
     def test_round_budget_cut_reports_unconverged(self):
         real = random_realization(np.random.default_rng(5), cross_scale=0.8)
         out = iwfa_solve(real, np.ones(3), max_rounds=1)
@@ -175,6 +189,41 @@ def classic_water_fill(gains, budget):
     return out
 
 
+class TestWaterFillCore:
+    """The unchecked core writes classic_water_fill's bits into a zeroed row
+    of a larger array and leaves the other rows alone."""
+
+    @staticmethod
+    def rows(rng, num_tones):
+        yield rng.lognormal(0.0, 2.0, num_tones)
+        yield rng.integers(1, 4, num_tones).astype(float)        # ties
+        g = rng.lognormal(0.0, 2.0, num_tones)
+        g[rng.random(num_tones) < 0.4] = 0.0
+        g[rng.integers(num_tones)] = 1.0                         # at least one usable tone
+        yield g
+        yield g * 1e-9                                           # low SNR at these budgets
+
+    @pytest.mark.parametrize("num_tones", range(1, 71))
+    def test_matches_classic_water_fill(self, num_tones):
+        rng = np.random.default_rng(num_tones)
+        low_snr = 0
+        for g in self.rows(rng, num_tones):
+            usable = np.flatnonzero(g > 0.0)
+            forms = [(g[usable], usable)]
+            if usable.size == num_tones:
+                forms.append((g, None))
+            for budget in (1e-3, 1.0, 100.0):
+                want = classic_water_fill(g, budget)
+                low_snr += budget * g.max() < WATER_FILL_MIN_SNR
+                for gains, index in forms:
+                    block = np.full((3, num_tones), 7.0)
+                    block[1] = 0.0
+                    _water_fill_core(block[1], gains, index, budget)
+                    assert block[1].tobytes() == want.tobytes()
+                    assert np.all(block[[0, 2]] == 7.0)
+        assert low_snr > 0
+
+
 def reference_iwfa(realization, budgets, max_rounds=200):
     """IWFA with the running per-link delta and classic_water_fill, every round run:
     (power, rounds, converged, deltas)."""
@@ -217,8 +266,9 @@ class TestIwfaMatchesReference:
 
     def test_exact_cycle_is_not_run_out(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(baselines, "water_fill",
-                            lambda *args: calls.append(1) or water_fill(*args))
+        core = baselines._water_fill_core
+        monkeypatch.setattr(baselines, "_water_fill_core",
+                            lambda *args: calls.append(1) or core(*args))
         real = _trial_realization(self.CYCLING, 779, 0)
         out = iwfa_solve(real, np.full(3, self.CYCLING.max_power_mw))
         # the starting point, then 33 rounds of 3 best responses, not 200

@@ -196,20 +196,20 @@ class TestDistributedSlots:
         # a re-schedule splits one link's budget, never every link's
         import smallcell.tssolver as tssolver
         calls = 0
-        water_fill = tssolver.water_fill
+        core = tssolver._water_fill_core
 
         def counting(*args, **kwargs):
             nonlocal calls
             calls += 1
-            return water_fill(*args, **kwargs)
-        monkeypatch.setattr(tssolver, "water_fill", counting)
+            return core(*args, **kwargs)
+        monkeypatch.setattr(tssolver, "_water_fill_core", counting)
         reschedules = 0
         for seed in range(8):
             states = run_distributed_slots(small_cfg(num_links=4, num_tones=10), num_slots=40,
                                            p_loss=0.1, master_seed=seed, power_mode="waterfill")
             reschedules += sum(len(st.rescheduled) for st in states)
         assert reschedules > 8 * 4       # give-ups made links re-schedule
-        assert calls <= reschedules
+        assert 0 < calls <= reschedules
 
     @staticmethod
     def rescheduled_every_slot(cfg, states, giveup_probability, master_seed, power_mode):
