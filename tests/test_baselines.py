@@ -65,6 +65,22 @@ class TestEvaluateConcurrent:
         both = evaluate_concurrent(real, np.full((2, 1), 2.0))[0]
         assert both < alone
 
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 4), (4,), (4, 3), (3, 4, 1)])
+    def test_wrong_shape_rejected(self, shape):
+        # unchecked, each failed with an opaque broadcasting or einsum error
+        real = random_realization(np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"shape \(3, 4\)"):
+            evaluate_concurrent(real, np.ones(shape))
+
+    @pytest.mark.parametrize("value", [np.nan, -1.0, -1e-300, np.inf])
+    def test_power_not_finite_and_non_negative_rejected(self, value):
+        # unchecked, each returned rates, NaN among them, instead of an error
+        real = random_realization(np.random.default_rng(0))
+        power = np.ones((3, 4))
+        power[1, 2] = value
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            evaluate_concurrent(real, power)
+
 
 class TestIwfa:
     def test_single_link_matches_water_fill(self):
@@ -202,7 +218,13 @@ class TestWaterFillCore:
         g[rng.integers(num_tones)] = 1.0                         # at least one usable tone
         yield g
         yield g * 1e-9                                           # low SNR at these budgets
+        if num_tones > 1:
+            g = rng.lognormal(0.0, 2.0, num_tones)
+            weak, strong = rng.choice(num_tones, 2, replace=False)
+            g[weak], g[strong] = 1e-320, 10.0                    # 1/1e-320 overflows to inf
+            yield g
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("num_tones", range(1, 71))
     def test_matches_classic_water_fill(self, num_tones):
         rng = np.random.default_rng(num_tones)
