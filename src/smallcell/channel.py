@@ -14,9 +14,11 @@ raw channel gain by the noise power over one tone, so gain (1/mW) times
 transmit power (mW) is a plain per-tone SNR.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
+
+from .tssolver import _check_count
 
 SCENARIOS = ("urban-indoor", "urban-outdoor", "suburban-indoor", "suburban-outdoor")
 
@@ -53,8 +55,8 @@ class ScenarioConfig:
     def validate(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
-        if self.num_links < 1 or self.num_tones < 1:
-            raise ValueError("need at least one link and one tone")
+        _check_count("num_links", self.num_links)
+        _check_count("num_tones", self.num_tones)
         if self.cell_radius_m <= 0 or self.tone_bandwidth_hz <= 0:
             raise ValueError("cell_radius_m and tone_bandwidth_hz must be positive")
         for name in ("num_floors", "num_walls", "indoor_dist_m", "shadow_sigma_db"):
@@ -81,15 +83,17 @@ class ChannelRealization:
     """One frozen draw of the channel.
 
     cross_gain[i, j, k] is the linear gain from transmitter i to receiver j on
-    tone k.  direct_gain[i, k] = cross_gain[i, i, k] / noise_power_mw.
-    positions[2i] is transmitter i, positions[2i+1] is receiver i.
+    tone k.  direct_gain[i, k] = cross_gain[i, i, k] / noise_power_mw is
+    derived from them when the realization is built.
     """
 
     cross_gain: np.ndarray        # (I, I, K), dimensionless
-    direct_gain: np.ndarray       # (I, K), 1/mW
-    positions: np.ndarray         # (2I, 2), meters
     noise_power_mw: float
-    tone_bandwidth_hz: float
+    direct_gain: np.ndarray = field(init=False)    # (I, K), 1/mW
+
+    def __post_init__(self):
+        object.__setattr__(self, "direct_gain",
+                           np.einsum("iik->ik", self.cross_gain) / self.noise_power_mw)
 
     @property
     def num_links(self) -> int:
@@ -217,17 +221,9 @@ def realize_channels(cfg: ScenarioConfig, positions: np.ndarray, rng) -> Channel
         shadow = shadow.reshape(I, I, K)
 
     cross = 10.0 ** (-(pl[:, :, None] + shadow) / 10.0)
-    noise = cfg.noise_power_mw
-    direct = np.einsum("iik->ik", cross) / noise
     if not (np.all(np.isfinite(cross)) and np.all(cross > 0.0)):
         raise FloatingPointError("non-finite or non-positive channel gain")
-    return ChannelRealization(
-        cross_gain=cross,
-        direct_gain=direct,
-        positions=positions.copy(),
-        noise_power_mw=noise,
-        tone_bandwidth_hz=cfg.tone_bandwidth_hz,
-    )
+    return ChannelRealization(cross_gain=cross, noise_power_mw=cfg.noise_power_mw)
 
 
 # Keyed substreams.  default_rng(seed) seeds PCG64 with the four uint64 words

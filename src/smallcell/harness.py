@@ -13,9 +13,9 @@ common to two counts.
 
 Objectives in records are bits/s: solver-side rates are natural-log units
 and get scaled by tone_bandwidth / ln(2) here.  Per-link rates come from the
-returned powers (Allocation.from_power for orthogonal allocations,
-evaluate_concurrent for IWFA), and each record's objective is their weighted
-sum, not an objective copied from the solver.
+returned powers (Allocation.from_power for orthogonal allocations; for IWFA,
+iwfa_solve's rate, evaluate_concurrent of its powers), and each record's
+objective is their weighted sum, not an objective copied from the solver.
 """
 
 from dataclasses import dataclass, replace
@@ -25,11 +25,13 @@ import numpy as np
 
 from .channel import ScenarioConfig, check_seed, drop_topology, realize_channels, pathloss_db
 from .signaling import build_cdf_table, run_signaling_slot
-from .tssolver import (POWER_MODES, TSProblem, Allocation, power_phase, subgradient_solve,
-                       recover_primal, _check_count)
+from .tssolver import (TSProblem, Allocation, power_phase, subgradient_solve, recover_primal,
+                       _check_count, _check_power_mode)
 from .soa import soa_allocate, _assign_stack
 from .baselines import OracleTooLarge, iwfa_solve, oracle_orthogonal, evaluate_concurrent
 
+SUBGRADIENT_ITERS = 2000    # TS-Subgradient's iteration cap in run_experiment
+GAIN_SAMPLES = 2048         # scenario gain samples behind the signaling codebook
 CSV_COLUMNS = ("trial_id", "scenario", "num_links", "num_tones", "algorithm",
                "objective_bps", "runtime_us", "iterations", "collisions", "seed")
 
@@ -64,7 +66,6 @@ class SlotState:
     intended_rate_bps: np.ndarray    # (I,) interference-free rates at true gains
     realized_rate_bps: np.ndarray    # (I,) rates under actual concurrent transmission
     collisions: list                 # (tone, [claimant links]) with >= 2 claimants
-    giveup_probability: float
     rescheduled: tuple               # links that ran the greedy in this slot
 
 
@@ -78,41 +79,31 @@ def _trial_realization(cfg: ScenarioConfig, master_seed: int, trial: int):
     return realize_channels(cfg, positions, (master_seed, trial, 2))
 
 
-def _timed(solve):
-    """Run solve(); return its result and the wall time in ns."""
-    t0 = time.perf_counter_ns()
-    out = solve()
-    return out, time.perf_counter_ns() - t0
+# Each runner returns (per-link rates in nats or None when skipped, iterations).
+# Solver names are looked up in this module when a runner runs, so a wrapper
+# swapped into the module sees every call.
+def _run_soa(problem, realization, power_mode):
+    alloc = soa_allocate(problem, power_mode=power_mode)
+    return alloc.rate, int(alloc.share.sum())
 
 
-# Each runner returns (solve ns, per-link rates in nats or None when skipped,
-# iterations).  Solver names are looked up in this module when a runner runs,
-# so a wrapper swapped into the module sees every call.
-def _run_soa(problem, realization, power_mode, subgradient_iters):
-    alloc, ns = _timed(lambda: soa_allocate(problem, power_mode=power_mode))
-    return ns, alloc.rate, int(alloc.share.sum())
+def _run_subgradient(problem, realization, power_mode):
+    result = subgradient_solve(problem, max_iters=SUBGRADIENT_ITERS)
+    return recover_primal(problem, result.best_multipliers).rate, result.iterations
 
 
-def _run_subgradient(problem, realization, power_mode, subgradient_iters):
-    def solve():
-        result = subgradient_solve(problem, max_iters=subgradient_iters)
-        return result, recover_primal(problem, result.best_multipliers)
-    (result, alloc), ns = _timed(solve)
-    return ns, alloc.rate, result.iterations
+def _run_iwfa(problem, realization, power_mode):
+    result = iwfa_solve(realization, problem.budgets)
+    return result.rate, result.rounds
 
 
-def _run_iwfa(problem, realization, power_mode, subgradient_iters):
-    result, ns = _timed(lambda: iwfa_solve(realization, problem.budgets))
-    return ns, evaluate_concurrent(realization, result.power), result.rounds
-
-
-def _run_oracle(problem, realization, power_mode, subgradient_iters):
+def _run_oracle(problem, realization, power_mode):
     try:
-        (alloc, _), ns = _timed(lambda: oracle_orthogonal(problem))
+        alloc, _ = oracle_orthogonal(problem)
     except OracleTooLarge:
-        return 0, None, 0
+        return None, 0
     I, K = problem.gains.shape
-    return ns, alloc.rate, (I + 1) ** K
+    return alloc.rate, (I + 1) ** K
 
 
 _SOLVERS = {"SOA": _run_soa, "TS-Subgradient": _run_subgradient,
@@ -121,13 +112,14 @@ ALGORITHMS = tuple(_SOLVERS)
 
 
 def run_experiment(cfg: ScenarioConfig, algorithms=("SOA", "IWFA"), trials: int = 100,
-                   master_seed=None, power_mode: str = "equal",
-                   subgradient_iters: int = 2000, signaling_overhead: float = 0.0):
+                   master_seed=None, power_mode: str = "equal", signaling_overhead: float = 0.0):
     """Solve `trials` independent instances with each algorithm.
 
-    Every algorithm sees the identical realization within a trial.  Wall
-    clock covers the solve call only.  An Oracle request on an instance past
-    the enumeration guard yields a record marked skipped instead of a crash.
+    Every algorithm sees the identical realization within a trial.  A
+    record's runtime_us is the wall time of one call of the algorithm's
+    runner: the solve and the rates it returns, and for TS-Subgradient the
+    primal recovery too.  An Oracle request on an instance past the
+    enumeration guard yields a record marked skipped instead of a crash.
     signaling_overhead discounts all objectives by the fraction of the slot
     spent signaling.
     """
@@ -135,6 +127,7 @@ def run_experiment(cfg: ScenarioConfig, algorithms=("SOA", "IWFA"), trials: int 
     for name in algorithms:
         if name not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {name!r}, expected subset of {ALGORITHMS}")
+    _check_power_mode(power_mode)
     trials = _check_count("trials", trials)
     if not 0.0 <= signaling_overhead < 1.0:
         raise ValueError("signaling_overhead must be in [0, 1)")
@@ -149,8 +142,9 @@ def run_experiment(cfg: ScenarioConfig, algorithms=("SOA", "IWFA"), trials: int 
         problem = TSProblem(gains=realization.direct_gain, weights=weights, budgets=budgets)
 
         for name in algorithms:
-            runtime_ns, rates, iterations = _SOLVERS[name](problem, realization, power_mode,
-                                                           subgradient_iters)
+            t0 = time.perf_counter_ns()
+            rates, iterations = _SOLVERS[name](problem, realization, power_mode)
+            runtime_ns = time.perf_counter_ns() - t0
             skipped = rates is None
             rates = np.zeros(cfg.num_links) if skipped else rates * factor
             records.append(TrialRecord(
@@ -170,15 +164,15 @@ def run_experiment(cfg: ScenarioConfig, algorithms=("SOA", "IWFA"), trials: int 
     return records
 
 
-def scenario_gain_samples(cfg: ScenarioConfig, rng: np.random.Generator, count: int = 2048) -> np.ndarray:
-    """Draw direct-gain samples from the scenario distribution.
+def scenario_gain_samples(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw GAIN_SAMPLES direct-gain samples from the scenario distribution.
 
     Used to build the shared quantization codebook: fresh endpoint pairs and
     shadowing draws, independent of any particular realization.
     """
-    pos = drop_topology(replace(cfg, num_links=count), rng)
+    pos = drop_topology(replace(cfg, num_links=GAIN_SAMPLES), rng)
     dist = np.maximum(np.linalg.norm(pos[0::2] - pos[1::2], axis=1), 1.0)
-    pl = pathloss_db(cfg, dist) + rng.normal(0.0, cfg.shadow_sigma_db, size=count)
+    pl = pathloss_db(cfg, dist) + rng.normal(0.0, cfg.shadow_sigma_db, size=GAIN_SAMPLES)
     return 10.0 ** (-pl / 10.0) / cfg.noise_power_mw
 
 
@@ -211,11 +205,11 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
     cfg.validate()
     if not 0.0 <= p_loss <= 1.0:
         raise ValueError("p_loss must be in [0, 1]")
-    if power_mode not in POWER_MODES:
-        raise ValueError(f"unknown power_mode {power_mode!r}, expected one of {POWER_MODES}")
+    _check_power_mode(power_mode)
     if not 0.0 <= giveup_probability <= 1.0:
         raise ValueError("giveup_probability must be in [0, 1]")
     num_slots = _check_count("num_slots", num_slots)
+    _check_count("signaling_levels", signaling_levels)
     master_seed = cfg.rng_seed if master_seed is None else check_seed("master_seed", master_seed)
 
     I, K = cfg.num_links, cfg.num_tones
@@ -223,10 +217,11 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
     budgets = np.full(I, cfg.max_power_mw)
     weights = np.ones(I)
 
-    realization = _trial_realization(cfg, master_seed, 0)
-    truth = TSProblem(gains=realization.direct_gain, weights=weights, budgets=budgets)
+    # the codebook comes first, so a bad signaling_levels fails before the channel draw
     table_rng = np.random.default_rng((master_seed, 0, 5))
     table = build_cdf_table(scenario_gain_samples(cfg, table_rng), signaling_levels)
+    realization = _trial_realization(cfg, master_seed, 0)
+    truth = TSProblem(gains=realization.direct_gain, weights=weights, budgets=budgets)
 
     loss_mask = np.random.default_rng((master_seed, 0, 3)).random((I, I, K)) < p_loss
     views = run_signaling_slot(realization, table, cfg.max_power_mw, loss_mask=loss_mask)
@@ -268,7 +263,6 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
             intended_rate_bps=intended,
             realized_rate_bps=realized,
             collisions=collisions,
-            giveup_probability=giveup_probability,
             rescheduled=rescheduled,
         ))
 

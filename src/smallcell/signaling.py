@@ -19,6 +19,8 @@ of a slot through them at once, one receiver at a time.
 from dataclasses import dataclass
 import numpy as np
 
+from .tssolver import _check_count
+
 # a received ratio s2/s1 above 1 + RATIO_TOL cannot come from a valid pair
 RATIO_TOL = 0.1
 
@@ -48,7 +50,6 @@ class GainView:
     missing entry as gain zero, i.e. a tone not worth claiming.
     """
 
-    receiver: int
     gains: np.ndarray     # (I, K), 1/mW
     missing: np.ndarray   # (I, K), bool
 
@@ -62,7 +63,7 @@ def build_cdf_table(gain_samples, num_levels: int) -> QuantizationTable:
     Levels sit at the empirical quantiles j/M for j = 1..M, and f maps level j
     to j/M.  Sample sets too coarse to give M distinct levels raise.
     """
-    if num_levels < 2:
+    if _check_count("num_levels", num_levels) < 2:
         raise ValueError("need at least two quantization levels")
     samples = np.asarray(gain_samples, dtype=float)
     if samples.size == 0:
@@ -106,7 +107,8 @@ def decode_levels(s1, s2, table: QuantizationTable):
 
 
 def run_signaling_slot(realization, table: QuantizationTable, p0_mw: float, loss_mask=None):
-    """Simulate one full signaling slot and return every receiver's view.
+    """Simulate one full signaling slot and return every receiver's view,
+    receiver j's at index j.
 
     Links broadcast sequentially in index order.  Receiver j hears sender i on
     tone k through cross_gain[i, j, k]; the decoded value is the sender's
@@ -134,5 +136,5 @@ def run_signaling_slot(realization, table: QuantizationTable, p0_mw: float, loss
         h = realization.cross_gain[:, j, :][heard]
         gains = np.zeros((I, K))
         gains[heard] = decode_levels(h * tx1, h * tx2[heard], table)
-        views.append(GainView(receiver=j, gains=gains, missing=missing))
+        views.append(GainView(gains=gains, missing=missing))
     return views

@@ -64,6 +64,11 @@ def _check_count(name: str, value) -> int:
     return int(value)
 
 
+def _check_power_mode(power_mode: str) -> None:
+    if power_mode not in POWER_MODES:
+        raise ValueError(f"unknown power_mode {power_mode!r}, expected one of {POWER_MODES}")
+
+
 @dataclass(frozen=True)
 class TSProblem:
     """Gains, weights and budgets of one scheduling instance.
@@ -138,8 +143,7 @@ def power_phase(gains, sets, budgets, power_mode: str):
     the filled row in index order.  Each row's result is the one it gets
     alone.
     """
-    if power_mode not in POWER_MODES:
-        raise ValueError(f"unknown power_mode {power_mode!r}, expected one of {POWER_MODES}")
+    _check_power_mode(power_mode)
     share = np.zeros(gains.shape)
     power = np.zeros(gains.shape)
     counts = [len(tones) for tones in sets]
@@ -442,17 +446,13 @@ def water_fill(gains, budget: float) -> np.ndarray:
     budget = float(budget)
     if not 0.0 < budget < np.inf:
         raise ValueError(f"budget must be finite and positive, got {budget}")
-    if np.minimum.reduce(g) > 0.0:     # every tone usable; NaN fails the test
-        usable, gu = None, g
-    else:
-        if np.isnan(g).any():
-            raise ValueError("gains must not be NaN")
-        usable = np.flatnonzero(g > 0.0)
-        if usable.size == 0:
-            raise ValueError("no tone with positive gain")
-        gu = g[usable]
+    if np.isnan(g).any():
+        raise ValueError("gains must not be NaN")
+    usable = np.flatnonzero(g > 0.0)
+    if usable.size == 0:
+        raise ValueError("no tone with positive gain")
     out = np.zeros(g.shape)
-    _water_fill_core(out, gu, usable, budget)
+    _water_fill_core(out, g[usable], usable, budget)
     return out
 
 

@@ -14,12 +14,7 @@ from smallcell.baselines import (InterferenceAllocation, evaluate_concurrent,
 
 
 def make_realization(cross, noise=1.0):
-    cross = np.asarray(cross, dtype=float)
-    num_links = cross.shape[0]
-    direct = np.einsum("iik->ik", cross) / noise
-    return ChannelRealization(cross_gain=cross, direct_gain=direct,
-                              positions=np.zeros((2 * num_links, 2)),
-                              noise_power_mw=noise, tone_bandwidth_hz=180e3)
+    return ChannelRealization(cross_gain=np.asarray(cross, dtype=float), noise_power_mw=noise)
 
 
 def random_realization(rng, num_links=3, num_tones=4, cross_scale=0.1):

@@ -3,8 +3,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from smallcell.channel import (ScenarioConfig, SCENARIOS, MIN_DISTANCE_M, drop_topology,
-                               pathloss_db, realize_channels, config_from_file)
+from smallcell.channel import (ChannelRealization, ScenarioConfig, SCENARIOS, MIN_DISTANCE_M,
+                               drop_topology, pathloss_db, realize_channels, config_from_file)
 
 
 def cfg_for(scenario="urban-indoor", **kw):
@@ -97,6 +97,11 @@ class TestRealizeChannels:
         assert np.allclose(real.direct_gain, diag / cfg.noise_power_mw, rtol=1e-14)
         assert np.all(real.cross_gain > 0)
         assert np.all(np.isfinite(real.cross_gain))
+
+    def test_hand_built_direct_gain_is_derived(self):
+        cross = np.random.default_rng(3).lognormal(0.0, 1.0, (3, 3, 4))
+        real = ChannelRealization(cross_gain=cross, noise_power_mw=0.25)
+        assert real.direct_gain.tobytes() == (np.einsum("iik->ik", cross) / 0.25).tobytes()
 
     def test_shadowing_variance(self):
         cfg = cfg_for(num_links=1, num_tones=10000, shadow_sigma_db=8.0)
@@ -222,6 +227,13 @@ class TestConfigFile:
         # at the first draw
         with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
             cfg_for(rng_seed=seed).validate()
+
+    @pytest.mark.parametrize("field, value", [("num_links", 2.5), ("num_tones", 3.0)])
+    def test_counts_not_integers_rejected(self, field, value):
+        # unchecked, a float count passed validate() and failed mid-run with
+        # "'float' object cannot be interpreted as an integer"
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            cfg_for(**{field: value}).validate()
 
     def test_zero_propagation_terms_accepted(self):
         cfg_for(num_floors=0, shadow_sigma_db=0.0, num_walls=0, indoor_dist_m=0.0).validate()

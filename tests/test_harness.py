@@ -4,13 +4,24 @@ import numpy as np
 import pytest
 
 from smallcell.channel import ScenarioConfig
-from smallcell.harness import (ALGORITHMS, CSV_COLUMNS, TrialRecord, run_experiment,
+from smallcell.harness import (ALGORITHMS, CSV_COLUMNS, GAIN_SAMPLES, SUBGRADIENT_ITERS,
+                               TrialRecord, run_experiment,
                                run_distributed_slots, scenario_gain_samples,
                                summarize, render_summary, write_records_csv,
                                _trial_realization, _bps_factor)
 from smallcell.soa import assign_channels, soa_allocate
 from smallcell.tssolver import TSProblem, Allocation
-from smallcell.baselines import evaluate_concurrent
+from smallcell.baselines import evaluate_concurrent, iwfa_solve
+
+
+@pytest.fixture
+def no_channel_draw(monkeypatch):
+    """Fail on any channel draw, so a check that raises shows it ran on entry."""
+    import smallcell.harness as harness
+
+    def no_draw(*args):
+        raise AssertionError("drew a channel")
+    monkeypatch.setattr(harness, "_trial_realization", no_draw)
 
 
 def small_cfg(**kw):
@@ -58,9 +69,8 @@ class TestRunExperiment:
 
     def test_subgradient_record(self):
         cfg = small_cfg()
-        rec = run_experiment(cfg, algorithms=("TS-Subgradient",), trials=1,
-                             subgradient_iters=500)[0]
-        assert 0 < rec.iterations <= 500
+        rec = run_experiment(cfg, algorithms=("TS-Subgradient",), trials=1)[0]
+        assert 0 < rec.iterations <= SUBGRADIENT_ITERS
         assert rec.objective_bps > 0.0
 
     def test_overhead_discounts_proportionally(self):
@@ -85,6 +95,23 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="trials must be an integer >= 1"):
             run_experiment(small_cfg(), trials=trials)
 
+    @pytest.mark.parametrize("algorithms", [("IWFA",), ("IWFA", "SOA")])
+    def test_bad_power_mode_rejected_before_the_first_draw(self, algorithms, no_channel_draw):
+        # unchecked, IWFA alone ignored the mode and returned records, and
+        # SOA raised only after the first channel draw
+        with pytest.raises(ValueError, match="unknown power_mode 'bogus'"):
+            run_experiment(small_cfg(), algorithms, trials=1, power_mode="bogus")
+
+    def test_iwfa_record_rates_are_the_solver_rates(self):
+        cfg = small_cfg()
+        recs = run_experiment(cfg, algorithms=("IWFA",), trials=3)
+        for t, rec in enumerate(recs):
+            realization = _trial_realization(cfg, cfg.rng_seed, t)
+            result = iwfa_solve(realization, np.full(3, cfg.max_power_mw))
+            want = result.rate * _bps_factor(cfg)
+            assert rec.per_link_rates_bps.tobytes() == want.tobytes()
+            assert rec.iterations == result.rounds
+
     @pytest.mark.parametrize("seed", [-1, 2.5])
     def test_bad_master_seed_rejected_before_the_first_draw(self, seed):
         # unchecked, a negative seed failed inside numpy's SeedSequence
@@ -101,28 +128,27 @@ class TestRunExperiment:
         import smallcell.harness as harness
         calls = {}
         for name in ("soa_allocate", "subgradient_solve", "recover_primal",
-                     "iwfa_solve", "evaluate_concurrent", "oracle_orthogonal"):
+                     "iwfa_solve", "oracle_orthogonal"):
             def counting(*args, _fn=getattr(harness, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(harness, name, counting)
-        run_experiment(small_cfg(num_links=2, num_tones=3), algorithms=ALGORITHMS, trials=2,
-                       subgradient_iters=50)
+        run_experiment(small_cfg(num_links=2, num_tones=3), algorithms=ALGORITHMS, trials=2)
         assert calls == {"soa_allocate": 2, "subgradient_solve": 2, "recover_primal": 2,
-                         "iwfa_solve": 2, "evaluate_concurrent": 2, "oracle_orthogonal": 2}
+                         "iwfa_solve": 2, "oracle_orthogonal": 2}
 
 
 class TestScenarioGainSamples:
     def test_shape_and_positivity(self):
         cfg = small_cfg()
-        samples = scenario_gain_samples(cfg, np.random.default_rng(0), count=512)
-        assert samples.shape == (512,)
+        samples = scenario_gain_samples(cfg, np.random.default_rng(0))
+        assert samples.shape == (GAIN_SAMPLES,)
         assert np.all(samples > 0.0)
 
     def test_reproducible(self):
         cfg = small_cfg()
-        a = scenario_gain_samples(cfg, np.random.default_rng(1), count=64)
-        b = scenario_gain_samples(cfg, np.random.default_rng(1), count=64)
+        a = scenario_gain_samples(cfg, np.random.default_rng(1))
+        b = scenario_gain_samples(cfg, np.random.default_rng(1))
         assert np.array_equal(a, b)
 
 
@@ -180,6 +206,15 @@ class TestDistributedSlots:
             run_distributed_slots(cfg, num_slots=1, master_seed=-1)
         with pytest.raises(ValueError, match="num_slots must be an integer >= 1"):
             run_distributed_slots(cfg, num_slots=2.5)
+
+    @pytest.mark.parametrize("levels, message", [(2.5, "signaling_levels must be an integer >= 1"),
+                                                 (3.0, "signaling_levels must be an integer >= 1"),
+                                                 (1, "at least two quantization levels")])
+    def test_bad_signaling_levels_rejected_on_entry(self, levels, message, no_channel_draw):
+        # unchecked, 2.5 failed in numpy's quantile after the channel draw, 3.0
+        # was accepted, and 1 was rejected only after the channel draw
+        with pytest.raises(ValueError, match=message):
+            run_distributed_slots(small_cfg(), num_slots=1, signaling_levels=levels)
 
     def test_loss_fraction_matches_probability(self):
         # each (sender, receiver, tone) broadcast is erased with probability p_loss
