@@ -30,11 +30,15 @@ therefore bounds the solver's error, and the run stops once it is within
 tol of the best dual value, plus LAM_FLOOR times the budgets' sum, the
 most by which the floor on the multipliers can hold the dual up.
 
-Water filling has one checked entry, water_fill, and one unchecked core,
-_water_fill_core, which writes a fill into a given zeroed row.  The callers
-that check their inputs once call the core for every fill: power_phase for
-each row, iwfa_solve for each best response, and oracle_orthogonal for
-each entry of its subset table.
+Water filling has one checked entry, water_fill, and two unchecked fills
+with the same bits: _water_fill_core writes one fill into a given zeroed
+row, and _water_fill_rows fills an (n, s) stack of rows at once.  numpy's
+fixed cost per call dominates at these sizes, and the stacked fill makes
+about 35 calls whatever n is, where the core makes about a dozen per row.
+So oracle_orthogonal fills its subset table a subset size at a time through
+the stacked fill, while power_phase (one to three rows per call in the
+solvers) and iwfa_solve (each best response depends on the last) call the
+core row by row.
 
 Rates here are in natural-log units per tone use ("nats"); multiply by
 tone_bandwidth / ln 2 for bits/s.  Powers are mW, gains 1/mW.
@@ -141,15 +145,28 @@ def power_phase(gains, sets, budgets, power_mode: str):
     every budget is finite and positive.  Tones are water-filled in the
     set's order, into a row of their own, since the rounding fix-up sums
     the filled row in index order.  Each row's result is the one it gets
-    alone.
+    alone.  There must be one set per row, each of distinct tones in
+    [0, K); otherwise ValueError is raised before any power is split,
+    naming the first bad set.
     """
     _check_power_mode(power_mode)
+    num_rows, num_tones = gains.shape
+    if len(sets) != num_rows:
+        raise ValueError(f"{len(sets)} tone sets for {num_rows} rows of gains")
     share = np.zeros(gains.shape)
     power = np.zeros(gains.shape)
     counts = [len(tones) for tones in sets]
-    flat = np.repeat(np.arange(len(sets)) * gains.shape[1], counts)
-    flat += np.fromiter(chain.from_iterable(sets), dtype=np.intp, count=sum(counts))
+    tones = np.fromiter(chain.from_iterable(sets), dtype=np.intp, count=sum(counts))
+    # read as unsigned, a negative tone is huge, so one argmax checks both
+    # ends of [0, K); a repeated tone shows as fewer shares than tones
+    unsigned = tones.view(np.uintp)
+    if tones.size and not unsigned.item(unsigned.argmax()) < num_tones:
+        _reject_sets(sets, num_tones)
+    flat = np.repeat(np.arange(num_rows) * num_tones, counts)
+    flat += tones
     share.put(flat, 1.0)
+    if np.count_nonzero(share) != flat.size:
+        _reject_sets(sets, num_tones)
     if power_mode == "equal":
         power.put(flat, np.repeat(budgets / np.maximum(counts, 1), counts))
         return share, power
@@ -163,6 +180,18 @@ def power_phase(gains, sets, budgets, power_mode: str):
             _water_fill_core(fill, g[wet], None, float(budget))
             row[wet] = fill
     return share, power
+
+
+def _reject_sets(sets, num_tones: int):
+    """Raise ValueError naming the first set with a tone outside
+    [0, num_tones) or a tone it holds twice."""
+    for r, tones in enumerate(sets):
+        tones = [int(k) for k in tones]
+        outside = [k for k in tones if not 0 <= k < num_tones]
+        if outside:
+            raise ValueError(f"sets[{r}] holds tone {outside[0]}, outside [0, {num_tones})")
+        if len(set(tones)) != len(tones):
+            raise ValueError(f"sets[{r}] holds a tone twice: {tones}")
 
 
 @dataclass
@@ -292,8 +321,18 @@ def dual_value(problem: TSProblem, lam):
 
 
 def default_multipliers(problem: TSProblem) -> np.ndarray:
-    """Water-level-scale starting point for the multipliers."""
-    med = np.median(problem.gains, axis=1)
+    """Water-level-scale starting point for the multipliers.
+
+    Each link's median gain is read from one sort: the middle entry, or the
+    sum of the two middle entries divided by 2.0, the bits np.median gives
+    at a fraction of its cost.
+    """
+    ordered = np.sort(problem.gains, axis=1)
+    half = problem.num_tones // 2
+    if problem.num_tones % 2:
+        med = ordered[:, half]
+    else:
+        med = (ordered[:, half - 1] + ordered[:, half]) / 2.0
     lam0 = problem.weights * med / (1.0 + problem.budgets * med / problem.num_tones)
     return np.maximum(lam0, LAM_FLOOR)
 
@@ -332,7 +371,10 @@ def subgradient_solve(problem: TSProblem, max_iters: int = 10000, tol=1e-4) -> S
     8 * max_iters * K bytes (320 kB at 10,000 iterations and 4 tones).
     Every run keeps each iteration's subgradient in one (max_iters, I)
     float array, 8 * max_iters * I bytes (240 kB at 10,000 iterations and
-    3 links), and builds bound_trace from it after the loop.
+    3 links), and builds bound_trace from it after the loop.  The steps
+    alpha(t) * lam0_i / budget_i are built once per solve as a table of the
+    same shape and size, with the bits of the scalar product, so an
+    iteration multiplies no Python float into an array.
 
     The dual is evaluated by one per-problem kernel (_dual_kernel), built
     once with the constants of the bids; the loop feeds it multipliers that
@@ -358,6 +400,10 @@ def subgradient_solve(problem: TSProblem, max_iters: int = 10000, tol=1e-4) -> S
     lam_floor = np.full(num_links, LAM_FLOOR)
     lam = np.minimum(default_multipliers(problem), lam_max)
     scale = lam / problem.budgets
+    # steps[t - 1] is alpha(t) * scale, as the Python float a / (b + t) times
+    # scale gives it
+    alphas = a / (b + np.arange(1, max_iters + 1))
+    steps = alphas[:, None] * scale
 
     # distance bound to any optimizer inside the box, in rescaled coordinates
     radius2 = float(np.sum(np.maximum(lam, lam_max - lam) ** 2 / scale))
@@ -402,15 +448,14 @@ def subgradient_solve(problem: TSProblem, max_iters: int = 10000, tol=1e-4) -> S
                     break
         if t == max_iters:
             break
-        alpha = a / (b + t)
-        lam = np.minimum(np.maximum(lam - alpha * scale * subgrad, lam_floor), lam_max)
+        lam = np.minimum(np.maximum(lam - steps[t - 1] * subgrad, lam_floor), lam_max)
 
     # bound_trace in one pass, with the IEEE operations of a running update:
     # each row's norm is reduced alone, fmax skips a NaN norm as `if g2 >
     # gmax2` would, and cumsum adds in order
     sg = subgrads[:t]
     gmax2 = np.fmax.accumulate(np.fmax(np.add.reduce(scale * (sg * sg), axis=1), 0.0))
-    alphas = a / (b + np.arange(1, t + 1))
+    alphas = alphas[:t]
     bound_trace = (radius2 + gmax2 * np.cumsum(alphas * alphas)) / np.cumsum(alphas)
     return SubgradientResult(best_dual=best, best_multipliers=best_lam, iterations=t,
                              converged=converged, best_trace=np.array(best_tr),
@@ -493,6 +538,60 @@ def _water_fill_core(out, gains, usable, budget: float) -> None:
     out[order[:m]] = (budget + cum[m - 1]) / m - floors_sorted[:m]
     # strongest tone absorbs the summation rounding so the budget binds exactly
     out[order[0]] += budget - np.add.reduce(out)
+
+
+def _water_fill_rows(gains, budgets) -> np.ndarray:
+    """Water fills of an (n, s) stack of positive gain rows, each over its
+    own row with budgets[r] (an (n,) array of finite, positive budgets).
+
+    Row r of the result has the bytes _water_fill_core writes into a zeroed
+    row of s entries for gains[r] and budgets[r] alone: the same branch per
+    row, a stable sort along each row, sequential prefix sums, the last
+    count m whose level (budget + cum[m-1]) / m clears its floor, and the
+    fix-up that adds the budget less the row's pairwise sum to the
+    strongest tone.  np.reciprocal runs on the normal-branch rows only, so
+    a 1/g that overflows warns exactly when the core would; the prefix sums
+    may overflow silently, as the core's Python floats do.  Nothing is
+    checked.
+
+    It makes about 35 numpy calls whatever n is: about 30 us for up to a
+    dozen short rows, 60 us for 100 rows of 10, against 6-9 us per row
+    through the core (Python 3.11, numpy 2.4, one core of a 2-vCPU x86-64
+    host).  So it pays from about four independent rows on, as in the
+    Oracle's subset table, and not for power_phase's one to three rows or
+    IWFA's best responses, each of which depends on the last.  It holds
+    about ten (n, s) float arrays at once.
+    """
+    num_rows, num_tones = gains.shape
+    gmax = np.maximum.reduce(gains, axis=1)
+    normal = budgets * gmax >= WATER_FILL_MIN_SNR
+    if np.count_nonzero(normal) == num_rows:
+        floors = np.reciprocal(gains)
+    else:
+        floors = np.empty(gains.shape)
+        floors[normal] = np.reciprocal(gains[normal])
+        low = ~normal
+        top = gmax[low, None]
+        with np.errstate(over="ignore"):
+            floors[low] = np.minimum((top / gains[low] - 1.0) / top, budgets[low, None])
+    # each entry's flat index in the stack, in floor order; numpy's flat
+    # take and put cost a fraction of take_along_axis and put_along_axis
+    starts = np.arange(0, num_rows * num_tones, num_tones)
+    order = floors.argsort(axis=1, kind="stable")
+    order += starts[:, None]
+    floors_sorted = floors.take(order)
+    counts = np.arange(1, num_tones + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = (budgets[:, None] + np.add.accumulate(floors_sorted, axis=1)) / counts
+        # the strongest tone always clears its floor, so m >= 1; entries past
+        # m are dropped, whatever they hold
+        m = num_tones - (levels > floors_sorted)[:, ::-1].argmax(axis=1)
+        depth = levels.take(starts + (m - 1))[:, None] - floors_sorted
+    out = np.empty(gains.shape)
+    out.put(order, np.where(counts <= m[:, None], depth, 0.0))
+    first = order[:, 0]
+    out.put(first, out.take(first) + (budgets - np.add.reduce(out, axis=1)))
+    return out
 
 
 def recover_primal(problem: TSProblem, lam) -> Allocation:

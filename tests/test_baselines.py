@@ -1,11 +1,13 @@
 from itertools import product
+import warnings
 
 import numpy as np
 import pytest
 
 from smallcell.channel import ChannelRealization, ScenarioConfig
 from smallcell.harness import _trial_realization
-from smallcell.tssolver import TSProblem, water_fill, WATER_FILL_MIN_SNR, _water_fill_core
+from smallcell.tssolver import (TSProblem, water_fill, WATER_FILL_MIN_SNR, _water_fill_core,
+                                _water_fill_rows)
 from smallcell.soa import soa_allocate
 from smallcell import baselines
 from smallcell.baselines import (InterferenceAllocation, evaluate_concurrent,
@@ -239,6 +241,129 @@ class TestWaterFillCore:
                     assert block[1].tobytes() == want.tobytes()
                     assert np.all(block[[0, 2]] == 7.0)
         assert low_snr > 0
+
+
+def core_fill(gains, budget):
+    out = np.zeros(gains.shape)
+    _water_fill_core(out, gains, None, float(budget))
+    return out
+
+
+def overflow_warned(fill, *args):
+    """Run fill(*args) and return its result and whether numpy warned of an overflow."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fill(*args)
+    return out, any("overflow" in str(w.message) for w in caught)
+
+
+class TestWaterFillRows:
+    """The stacked fill gives every row the bytes the core writes for that row alone."""
+
+    @staticmethod
+    def stack(rng, num_tones):
+        rows = []
+        for _ in range(34):                 # 102 to 136 rows
+            rows.append(rng.lognormal(0.0, 2.0, num_tones))
+            rows.append(rng.integers(1, 4, num_tones).astype(float))          # ties
+            rows.append(rng.lognormal(0.0, 2.0, num_tones) * 1e-9)            # low SNR
+            if num_tones > 1:
+                g = rng.lognormal(0.0, 2.0, num_tones)
+                weak, strong = rng.choice(num_tones, 2, replace=False)
+                g[weak], g[strong] = 1e-320, 10.0                             # 1/1e-320 overflows
+                rows.append(g)
+        gains = np.array(rows)
+        # budgets 1e-3, 1 and 100 mixed in one stack
+        return gains, rng.choice([1e-3, 1.0, 100.0], len(gains))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("num_tones", range(1, 71))
+    def test_every_row_matches_the_core(self, num_tones):
+        rng = np.random.default_rng(num_tones)
+        gains, budgets = self.stack(rng, num_tones)
+        assert len(gains) >= 100
+        low = budgets * gains.max(axis=1) < WATER_FILL_MIN_SNR
+        assert low.any() and not low.all()
+        got = _water_fill_rows(gains, budgets)
+        for r, (g, budget) in enumerate(zip(gains, budgets)):
+            want = core_fill(g, budget)
+            assert got[r].tobytes() == want.tobytes()
+            assert _water_fill_rows(gains[r:r + 1], budgets[r:r + 1]).tobytes() == want.tobytes()
+
+    def test_overflow_warns_where_the_core_does(self):
+        rows = [([1e-320, 1e-4], 1e-3),        # low SNR: the core caps the floor, no warning
+                ([1e-320, 10.0], 1.0),         # 1/1e-320 overflows: the core warns
+                ([2.0, 3.0], 1.0),             # no warning
+                ([1e-320, 1e-320], 1.0)]       # low SNR, all subnormal
+        warns = []
+        for g, budget in rows:
+            want, core_warned = overflow_warned(core_fill, np.array(g), budget)
+            got, rows_warned = overflow_warned(_water_fill_rows, np.array([g]), np.array([budget]))
+            assert got[0].tobytes() == want.tobytes()
+            assert rows_warned == core_warned
+            warns.append(core_warned)
+        assert warns == [False, True, False, False]
+        for picked in ([0, 2, 3], [0, 1, 2, 3]):
+            gains = np.array([rows[r][0] for r in picked])
+            budgets = np.array([rows[r][1] for r in picked])
+            _, warned = overflow_warned(_water_fill_rows, gains, budgets)
+            assert warned == any(warns[r] for r in picked)
+
+
+def per_entry_subset_values(problem):
+    """The Oracle's value table as one _water_fill_core call per (link, mask) entry."""
+    g, w, b = problem.gains, problem.weights, problem.budgets
+    I, K = g.shape
+    bits = 1 << np.arange(K)
+    positive = (g > 0.0) @ bits
+    value = np.zeros((I, 2 ** K))
+    for m in range(1, 2 ** K):
+        tones = np.flatnonzero(m & bits)
+        for i in range(I):
+            if m & positive[i] == m:
+                gt = g[i].take(tones)
+                p = np.zeros(tones.size)
+                _water_fill_core(p, gt, None, float(b[i]))
+                value[i, m] = w[i] * np.log1p(gt * p).sum()
+    return np.take_along_axis(value, np.arange(2 ** K) & positive[:, None], axis=1)
+
+
+class TestSubsetValues:
+    """The Oracle's stacked table has the bytes of one core fill per entry."""
+
+    @staticmethod
+    def problems(num_links, num_tones):
+        rng = np.random.default_rng(num_links * 100 + num_tones)
+        shape = (num_links, num_tones)
+        zeros = rng.lognormal(0.0, 1.0, shape)
+        zeros[rng.random(shape) < 0.3] = 0.0
+        zeros[:, rng.integers(num_tones)] = 0.0           # a tone nobody can use
+        for gains in (rng.lognormal(0.0, 1.0, shape), zeros,
+                      rng.integers(1, 3, shape).astype(float),      # ties
+                      rng.lognormal(0.0, 1.0, shape) * 1e-9):       # low SNR
+            yield TSProblem(gains=gains, weights=rng.uniform(0.5, 2.0, num_links),
+                            budgets=rng.uniform(0.5, 5.0, num_links))
+
+    @pytest.mark.parametrize("chunk", [1, 5, baselines.ORACLE_CHUNK_ROWS])
+    @pytest.mark.parametrize("num_links", [1, 3])
+    @pytest.mark.parametrize("num_tones", range(1, 11))
+    def test_table_matches_per_entry_fills(self, monkeypatch, num_tones, num_links, chunk):
+        monkeypatch.setattr(baselines, "ORACLE_CHUNK_ROWS", chunk)
+        for prob in self.problems(num_links, num_tones):
+            got = baselines._subset_values(prob)
+            assert got.tobytes() == per_entry_subset_values(prob).tobytes()
+
+    @pytest.mark.parametrize("num_links", [1, 2])
+    @pytest.mark.parametrize("num_tones", range(1, 11))
+    def test_oracle_matches_the_per_entry_table(self, monkeypatch, num_tones, num_links):
+        for prob in self.problems(num_links, num_tones):
+            alloc, objective = oracle_orthogonal(prob)
+            with monkeypatch.context() as patch:
+                patch.setattr(baselines, "_subset_values", per_entry_subset_values)
+                want, want_objective = oracle_orthogonal(prob)
+            for field in ("share", "power", "rate"):
+                assert getattr(alloc, field).tobytes() == getattr(want, field).tobytes()
+            assert objective == want_objective == alloc.objective
 
 
 def reference_iwfa(realization, budgets, max_rounds=200):

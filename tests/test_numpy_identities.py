@@ -1,16 +1,23 @@
-"""The numpy identities the water-fill core, iwfa_solve and evaluate_concurrent rely on.
+"""The numpy identities the water fills, the dual and evaluate_concurrent rely on.
 
 They pick the cheaper of two calls that give the same bits: np.reciprocal
 for 1.0 / x, x[x.argmax()] for np.maximum.reduce(x), and a.item(a.argmax())
 for float(a.max()); evaluate_concurrent reads a.item(a.argmin()) for
-float(a.min()).  These tests pin the equivalences on the numpy that runs
-them, so a numpy version or SIMD path where they differ fails here first.
+float(a.min()).  The stacked water fill (_water_fill_rows) gives each row
+the core's bits only if a reduction, prefix sum or stable sort along axis 1
+treats row r as the 1-D call on that row does; subgradient_solve reads its
+steps from a table built once, and default_multipliers takes the median from
+one sort.  These tests pin the equivalences on the numpy that runs them, so
+a numpy version or SIMD path where they differ fails here first.
 """
 
+from itertools import accumulate
 import struct
 
 import numpy as np
 import pytest
+
+from smallcell.tssolver import STEP_SCHEDULE
 
 
 def _inputs():
@@ -63,3 +70,57 @@ def test_item_at_argmax_is_the_float_max(a):
         got = a.item(pick())
         assert type(got) is float
         assert _bits(got) == _bits(float(reduce()))
+
+
+def _stack(width, rows=6):
+    """Rows of one width: lognormal, subnormal to huge, and tied values."""
+    rng = np.random.default_rng(width)
+    return np.vstack([rng.lognormal(0.0, 3.0, (rows, width)),
+                      10.0 ** rng.uniform(-320.0, 300.0, (rows, width)),
+                      rng.integers(0, 3, (rows, width)).astype(float)])
+
+
+# widths 1-70 cross the pairwise-sum block edges at 8, 9, 16 and 17
+@pytest.mark.parametrize("width", range(1, 71))
+def test_row_reduce_has_the_bytes_of_each_row_alone(width):
+    a = _stack(width)
+    for sums in (np.add.reduce(a, axis=1), a.sum(axis=1)):
+        for r, row in enumerate(a):
+            assert sums[r].tobytes() == np.add.reduce(row).tobytes() == row.sum().tobytes()
+
+
+@pytest.mark.parametrize("width", range(1, 71))
+def test_row_prefix_sums_add_in_order(width):
+    a = _stack(width)
+    for cum in (a.cumsum(axis=1), np.add.accumulate(a, axis=1)):
+        for r, row in enumerate(a):
+            assert cum[r].tolist() == list(accumulate(row.tolist()))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 9, 16, 17, 33, 70])
+def test_row_stable_argsort_is_each_row_alone(width):
+    a = _stack(width)
+    order = a.argsort(axis=1, kind="stable")
+    for r, row in enumerate(a):
+        assert np.array_equal(order[r], row.argsort(kind="stable"))
+
+
+@pytest.mark.parametrize("width", range(1, 12))
+def test_median_from_one_sort(width):
+    rng = np.random.default_rng(width)
+    a = np.vstack([rng.lognormal(0.0, 3.0, (4, width)),
+                   rng.integers(0, 3, (4, width)).astype(float),     # ties and zeros
+                   np.zeros((1, width))])
+    ordered = np.sort(a, axis=1)
+    half = width // 2
+    med = ordered[:, half] if width % 2 else (ordered[:, half - 1] + ordered[:, half]) / 2.0
+    assert med.tobytes() == np.median(a, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("num_links", [1, 3, 16])
+def test_step_table_rows_are_the_scalar_steps(num_links):
+    a, b = STEP_SCHEDULE
+    scale = 10.0 ** np.random.default_rng(num_links).uniform(-14.0, 4.0, num_links)
+    steps = (a / (b + np.arange(1, 2001)))[:, None] * scale
+    for t in range(1, 2001):
+        assert steps[t - 1].tobytes() == ((a / (b + t)) * scale).tobytes()

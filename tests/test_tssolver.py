@@ -467,6 +467,20 @@ REFERENCE_CASES = {
 }
 
 
+class TestDefaultMultipliers:
+    @pytest.mark.parametrize("num_tones", range(1, 10))
+    def test_bits_of_the_median_formula(self, num_tones):
+        rng = np.random.default_rng(num_tones)
+        for gains in (rng.lognormal(0.0, 3.0, (3, num_tones)),
+                      rng.integers(0, 3, (3, num_tones)).astype(float)):    # ties and zeros
+            prob = TSProblem(gains=gains, weights=rng.uniform(0.5, 2.0, 3),
+                             budgets=rng.uniform(0.1, 100.0, 3))
+            med = np.median(prob.gains, axis=1)
+            lam0 = prob.weights * med / (1.0 + prob.budgets * med / num_tones)
+            want = np.maximum(lam0, LAM_FLOOR)
+            assert default_multipliers(prob).tobytes() == want.tobytes()
+
+
 class TestSubgradientMatchesReference:
     """The per-problem dual kernel and lean loop repeat the reference loop bit for bit.
 
@@ -627,6 +641,22 @@ class TestPowerPhase:
         else:
             assert np.all(power[in_sets] > 0.0)
 
+
+    @pytest.mark.parametrize("mode", ["equal", "waterfill"])
+    @pytest.mark.parametrize("sets, message", [
+        ([[-1], [0]], r"sets\[0\] holds tone -1, outside \[0, 3\)"),
+        ([[3], [0]], r"sets\[0\] holds tone 3, outside \[0, 3\)"),
+        ([[0], [1, 2, 5]], r"sets\[1\] holds tone 5"),
+        ([[0, 0, 1], [2]], r"sets\[0\] holds a tone twice"),
+        ([[0], np.array([2, 1, 2])], r"sets\[1\] holds a tone twice"),
+        ([[0, 1, 2]], r"1 tone sets for 2 rows"),
+        ([[0], [1], [2]], r"3 tone sets for 2 rows"),
+    ])
+    def test_rejects_tones_outside_the_row_or_repeated(self, sets, message, mode):
+        # at 10 mW each, [[-1], [0]] put link 0's budget on link 1's row and
+        # [[0, 0, 1], [2]] left link 0 short of its budget
+        with pytest.raises(ValueError, match=message):
+            power_phase(np.ones((2, 3)), sets, np.full(2, 10.0), mode)
 
     @pytest.mark.parametrize("budget", [0.0, -1.0, np.nan, np.inf])
     def test_waterfill_rejects_a_budget_that_is_not_finite_and_positive(self, budget):
