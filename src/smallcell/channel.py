@@ -84,7 +84,7 @@ class ChannelRealization:
 
     cross_gain[i, j, k] is the linear gain from transmitter i to receiver j on
     tone k.  direct_gain[i, k] = cross_gain[i, i, k] / noise_power_mw is
-    derived from them when the realization is built.
+    derived from them when the realization is built, from _diagonal_rows.
     """
 
     cross_gain: np.ndarray        # (I, I, K), dimensionless
@@ -93,7 +93,7 @@ class ChannelRealization:
 
     def __post_init__(self):
         object.__setattr__(self, "direct_gain",
-                           np.einsum("iik->ik", self.cross_gain) / self.noise_power_mw)
+                           _diagonal_rows(self.cross_gain) / self.noise_power_mw)
 
     @property
     def num_links(self) -> int:
@@ -102,6 +102,21 @@ class ChannelRealization:
     @property
     def num_tones(self) -> int:
         return self.cross_gain.shape[2]
+
+
+def _diagonal_rows(cross):
+    """The (I, K) rows cross[i, i, :] of an (I, I, K) array, as one strided
+    view: every (I + 1)-th row of the (I * I, K) reshape.  It is the view
+    np.einsum("iik->ik", cross) returns, without einsum's parsing."""
+    I, _, K = cross.shape
+    return cross.reshape(I * I, K)[::I + 1]
+
+
+def _distances(delta):
+    """Euclidean lengths of the vectors on delta's last axis:
+    sqrt(add.reduce(delta * delta)), what np.linalg.norm(delta, axis=-1)
+    computes for real input, without its dispatch."""
+    return np.sqrt(np.add.reduce(delta * delta, axis=-1))
 
 
 def check_seed(name: str, value) -> int:
@@ -150,12 +165,16 @@ def drop_topology(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
 
     Returns a (2I, 2) array, transmitter i at row 2i and its receiver at row
     2i+1.  The draw is laid out per link so that a longer link list with the
-    same generator state reproduces the shorter list as a prefix.
+    same generator state reproduces the shorter list as a prefix.  The x and
+    y coordinates are written into one preallocated (I, 2, 2) array, the
+    bytes np.stack of the two would give.
     """
     u = rng.random((cfg.num_links, 2, 2))
     r = cfg.cell_radius_m * np.sqrt(u[..., 0])  # sqrt for uniform area density
     phi = 2.0 * np.pi * u[..., 1]
-    pos = np.stack([r * np.cos(phi), r * np.sin(phi)], axis=-1)
+    pos = np.empty((cfg.num_links, 2, 2))
+    pos[..., 0] = r * np.cos(phi)
+    pos[..., 1] = r * np.sin(phi)
     return pos.reshape(2 * cfg.num_links, 2)
 
 
@@ -165,7 +184,7 @@ def pathloss_db(cfg: ScenarioConfig, distance_m):
     Distances below 1 m are clamped to 1 m.  Non-positive distances raise.
     """
     d = np.asarray(distance_m, dtype=float)
-    if np.any(d <= 0.0):
+    if (d <= 0.0).any():
         raise ValueError("distance must be positive")
     d = np.maximum(d, MIN_DISTANCE_M)
 
@@ -206,7 +225,7 @@ def realize_channels(cfg: ScenarioConfig, positions: np.ndarray, rng) -> Channel
         raise ValueError(f"positions must have shape ({2 * I}, 2) for {I} links, got {positions.shape}")
     tx = positions[0::2]
     rx = positions[1::2]
-    dist = np.linalg.norm(tx[:, None, :] - rx[None, :, :], axis=2)
+    dist = _distances(tx[:, None, :] - rx[None, :, :])
     pl = pathloss_db(cfg, np.maximum(dist, MIN_DISTANCE_M))
 
     if isinstance(rng, np.random.Generator):
@@ -221,7 +240,7 @@ def realize_channels(cfg: ScenarioConfig, positions: np.ndarray, rng) -> Channel
         shadow = shadow.reshape(I, I, K)
 
     cross = 10.0 ** (-(pl[:, :, None] + shadow) / 10.0)
-    if not (np.all(np.isfinite(cross)) and np.all(cross > 0.0)):
+    if not (np.isfinite(cross).all() and (cross > 0.0).all()):
         raise FloatingPointError("non-finite or non-positive channel gain")
     return ChannelRealization(cross_gain=cross, noise_power_mw=cfg.noise_power_mw)
 

@@ -134,7 +134,13 @@ def main(argv=None) -> int:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # input the library rejects is a usage error, reported the way
+        # argparse reports its own: one line and exit status 2
+        command = sub.choices[args.command]
+        command.exit(2, f"{command.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

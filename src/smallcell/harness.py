@@ -23,7 +23,8 @@ import csv
 import time
 import numpy as np
 
-from .channel import ScenarioConfig, check_seed, drop_topology, realize_channels, pathloss_db
+from .channel import (ScenarioConfig, check_seed, _distances, drop_topology, realize_channels,
+                      pathloss_db)
 from .signaling import build_cdf_table, run_signaling_slot
 from .tssolver import (TSProblem, Allocation, power_phase, subgradient_solve, recover_primal,
                        _check_count, _check_power_mode)
@@ -168,10 +169,11 @@ def scenario_gain_samples(cfg: ScenarioConfig, rng: np.random.Generator) -> np.n
     """Draw GAIN_SAMPLES direct-gain samples from the scenario distribution.
 
     Used to build the shared quantization codebook: fresh endpoint pairs and
-    shadowing draws, independent of any particular realization.
+    shadowing draws, independent of any particular realization.  Link
+    lengths come from channel._distances, the bits of np.linalg.norm.
     """
     pos = drop_topology(replace(cfg, num_links=GAIN_SAMPLES), rng)
-    dist = np.maximum(np.linalg.norm(pos[0::2] - pos[1::2], axis=1), 1.0)
+    dist = np.maximum(_distances(pos[0::2] - pos[1::2]), 1.0)
     pl = pathloss_db(cfg, dist) + rng.normal(0.0, cfg.shadow_sigma_db, size=GAIN_SAMPLES)
     return 10.0 ** (-pl / 10.0) / cfg.noise_power_mw
 

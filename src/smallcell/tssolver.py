@@ -97,9 +97,9 @@ class TSProblem:
             raise ValueError("shape mismatch between gains, weights, budgets")
         if 0 in g.shape:
             raise ValueError(f"gains must have at least one link and one tone, got shape {g.shape}")
-        if np.any(~np.isfinite(g)) or np.any(g < 0.0):
+        if not np.isfinite(g).all() or (g < 0.0).any():
             raise ValueError("gains must be finite and non-negative")
-        if not (np.all((w > 0.0) & (w < np.inf)) and np.all((b > 0.0) & (b < np.inf))):
+        if not (((w > 0.0) & (w < np.inf)).all() and ((b > 0.0) & (b < np.inf)).all()):
             raise ValueError("weights and budgets must be finite and strictly positive")
 
     @property
@@ -170,7 +170,7 @@ def power_phase(gains, sets, budgets, power_mode: str):
     if power_mode == "equal":
         power.put(flat, np.repeat(budgets / np.maximum(counts, 1), counts))
         return share, power
-    if not np.all((budgets > 0.0) & (budgets < np.inf)):
+    if not ((budgets > 0.0) & (budgets < np.inf)).all():
         raise ValueError("budgets must be finite and strictly positive")
     for row, g, tones, budget in zip(power, gains, sets, budgets):
         tones = np.asarray(tones, dtype=np.intp)

@@ -87,3 +87,21 @@ class TestSweep:
     def test_cannot_vary_both_axes(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--links", "2,3", "--radius", "10,20", "--tones", "4"])
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["slots", "--signaling-levels", "1"], "smallcell slots: error: need at least two quantization levels"),
+        (["slots", "--slots", "0"], "smallcell slots: error: num_slots must be an integer >= 1"),
+        (["sim", "--tones", "0"], "smallcell sim: error: num_tones must be an integer >= 1"),
+        (["sweep", "--links", "2,x"], "smallcell sweep: error: invalid literal for int()"),
+    ])
+    def test_rejected_input_is_a_one_line_usage_error(self, argv, message, capsys):
+        # a ValueError from the library once ended in a traceback and exit status 1
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

@@ -1,4 +1,5 @@
-"""The numpy identities the water fills, the dual and evaluate_concurrent rely on.
+"""The numpy identities the water fills, the dual, the channel, the codebook
+and evaluate_concurrent rely on.
 
 They pick the cheaper of two calls that give the same bits: np.reciprocal
 for 1.0 / x, x[x.argmax()] for np.maximum.reduce(x), and a.item(a.argmax())
@@ -7,8 +8,13 @@ float(a.min()).  The stacked water fill (_water_fill_rows) gives each row
 the core's bits only if a reduction, prefix sum or stable sort along axis 1
 treats row r as the 1-D call on that row does; subgradient_solve reads its
 steps from a table built once, and default_multipliers takes the median from
-one sort.  These tests pin the equivalences on the numpy that runs them, so
-a numpy version or SIMD path where they differ fails here first.
+one sort.  The protocol run skips numpy's convenience wrappers: the signaling
+codebook reads numpy's linear quantiles from one sort (_linear_quantiles for
+np.quantile), link lengths are sqrt(add.reduce(d * d, axis=-1)) (_distances
+for np.linalg.norm), and direct gains are the strided diagonal rows of the
+cross gains (_diagonal_rows for np.einsum("iik->ik")).  These tests pin the
+equivalences on the numpy that runs them, so a numpy version or SIMD path
+where they differ fails here first.
 """
 
 from itertools import accumulate
@@ -17,6 +23,8 @@ import struct
 import numpy as np
 import pytest
 
+from smallcell.channel import _diagonal_rows, _distances
+from smallcell.signaling import _linear_quantiles
 from smallcell.tssolver import STEP_SCHEDULE
 
 
@@ -124,3 +132,43 @@ def test_step_table_rows_are_the_scalar_steps(num_links):
     steps = (a / (b + np.arange(1, 2001)))[:, None] * scale
     for t in range(1, 2001):
         assert steps[t - 1].tobytes() == ((a / (b + t)) * scale).tobytes()
+
+
+def _sample_sets(size):
+    """Positive samples of one size: lognormal, subnormal to huge, and tied."""
+    rng = np.random.default_rng(size)
+    yield rng.lognormal(0.0, 3.0, size)
+    yield 10.0 ** rng.uniform(-320.0, 300.0, size)
+    yield rng.integers(1, 4, size).astype(float)
+
+
+# every size to 70 covers every (n - 1) q rounding pattern of small sets
+@pytest.mark.parametrize("size", list(range(1, 71)) + [97, 256, 999, 2047, 2048, 4999, 5000])
+def test_sorted_linear_quantiles_have_the_bytes_of_np_quantile(size):
+    for samples in _sample_sets(size):
+        ordered = np.sort(samples)
+        for levels in range(2, 65):
+            probs = np.arange(1, levels + 1) / levels
+            got = _linear_quantiles(ordered, probs)
+            assert got.tobytes() == np.quantile(samples, probs).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (7, 2), (2048, 2), (1, 1, 2), (4, 4, 2), (16, 16, 2)])
+def test_distances_have_the_bytes_of_linalg_norm(shape):
+    rng = np.random.default_rng(shape[0])
+    for delta in (rng.uniform(-50.0, 50.0, shape), rng.normal(0.0, 1e-3, shape),
+                  rng.integers(-3, 4, shape).astype(float)):
+        assert _distances(delta).tobytes() == np.linalg.norm(delta, axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("links, tones", [(1, 1), (1, 10), (3, 4), (4, 10), (16, 64)])
+def test_diagonal_rows_are_the_einsum_view(links, tones):
+    cross = np.random.default_rng(links).lognormal(-10.0, 3.0, (links, links, tones))
+    rows = _diagonal_rows(cross)
+    want = np.einsum("iik->ik", cross)
+    assert rows.shape == want.shape and rows.strides == want.strides
+    assert np.shares_memory(rows, cross)
+    assert rows.tobytes() == want.tobytes()
+    power = np.random.default_rng(0).random((links, tones))
+    assert (rows * power).tobytes() == (want * power).tobytes()
+    assert (rows / 0.25).tobytes() == (want / 0.25).tobytes()

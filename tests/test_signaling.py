@@ -14,6 +14,12 @@ def three_level_table():
     return build_cdf_table(np.linspace(1.0, 3.0, 3000), 3)
 
 
+def _one_bad(value):
+    samples = np.linspace(1.0, 3.0, 100)
+    samples[37] = value
+    return samples
+
+
 class TestTableConstruction:
     def test_three_levels_give_third_steps(self):
         table = three_level_table()
@@ -36,6 +42,30 @@ class TestTableConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             build_cdf_table([2.0] * 100, 4)
 
+    # unchecked, NaN samples gave an all-NaN codebook that passed the
+    # duplicate check, one inf a NaN top level, negatives negative levels
+    @pytest.mark.parametrize("samples", [_one_bad(np.nan), _one_bad(np.inf), _one_bad(-np.inf), _one_bad(-1.0),
+                                         _one_bad(0.0), _one_bad(-0.0), [np.nan] * 50,
+                                         -np.linspace(1.0, 3.0, 50), np.linspace(-1.0, 1.0, 50)])
+    def test_samples_not_finite_and_positive_rejected(self, samples):
+        with pytest.raises(ValueError, match="gain samples must be finite and positive"):
+            build_cdf_table(samples, 4)
+
+    def test_levels_are_numpys_linear_quantiles(self):
+        rng = np.random.default_rng(6)
+        for samples in (rng.lognormal(0.0, 2.0, 2048), rng.integers(1, 40, 999).astype(float),
+                        rng.lognormal(0.0, 1.0, (4, 250)), np.array([2.0, 1.0])):
+            for levels in (2, 3, 16, 64):
+                probs = np.arange(1, levels + 1) / levels
+                want = np.quantile(samples, probs)
+                if (want[1:] <= want[:-1]).any():
+                    with pytest.raises(ValueError, match="duplicate"):
+                        build_cdf_table(samples, levels)
+                    continue
+                table = build_cdf_table(samples, levels)
+                assert table.gain_levels.tobytes() == want.tobytes()
+                assert table.f_values.tobytes() == probs.tobytes()
+
     def test_quantile_bins_capture_equal_shares(self):
         rng = np.random.default_rng(0)
         samples = rng.lognormal(0.0, 1.0, 10000)
@@ -45,6 +75,46 @@ class TestTableConstruction:
         assert counts.sum() == 10000
         assert np.all(np.abs(counts - 625) <= 0.03 * 10000 / 16 + 1)
         assert samples.max() <= table.gain_levels[-1]  # top level covers everything
+
+
+class TestQuantizationTableValidation:
+    def test_valid_lists_become_float_arrays(self):
+        table = QuantizationTable(gain_levels=[1, 3], f_values=[0.5, 1])
+        assert table.gain_levels.dtype == float and table.f_values.dtype == float
+        assert table.size == 2
+        assert table.level_index(2.0) == 1
+
+    @pytest.mark.parametrize("levels, f", [
+        ([1.0, 2.0, 3.0], [0.5, 1.0]),               # lengths differ
+        ([2.0], [1.0]),                              # one level
+        ([], []),
+        ([[1.0, 2.0], [3.0, 4.0]], [[0.25, 0.5], [0.75, 1.0]]),  # 2-D
+        (2.0, 1.0),                                  # 0-D
+    ])
+    def test_shapes_rejected(self, levels, f):
+        with pytest.raises(ValueError, match="1-D of one length >= 2"):
+            QuantizationTable(gain_levels=levels, f_values=f)
+
+    @pytest.mark.parametrize("levels", [[3.0, 1.0], [1.0, 1.0], [0.0, 1.0], [-1.0, 1.0],
+                                        [1.0, np.inf], [1.0, np.nan], [np.nan, 1.0],
+                                        [1.0, np.nan, 2.0], [1.0, 3.0, 2.0]])
+    def test_levels_not_finite_positive_increasing_rejected(self, levels):
+        f = np.arange(1, len(levels) + 1) / len(levels)
+        with pytest.raises(ValueError, match="gain_levels must be finite, positive"):
+            QuantizationTable(gain_levels=levels, f_values=f)
+
+    @pytest.mark.parametrize("f", [[0.5, 2.0], [0.0, 1.0], [-0.5, 1.0], [1.0, 0.5],
+                                   [0.5, 0.5], [0.5, np.nan], [np.nan, 1.0],
+                                   [0.2, np.nan, 1.0]])
+    def test_f_values_not_increasing_within_unit_interval_rejected(self, f):
+        levels = np.arange(1.0, len(f) + 1.0)
+        with pytest.raises(ValueError, match=r"f_values must be strictly increasing within \(0, 1\]"):
+            QuantizationTable(gain_levels=levels, f_values=f)
+
+    def test_descending_levels_with_f_above_one_rejected(self):
+        # once accepted, and level_index's searchsorted misread it
+        with pytest.raises(ValueError):
+            QuantizationTable(gain_levels=[3, 1], f_values=[0.5, 2])
 
 
 class TestEncodeDecode:
