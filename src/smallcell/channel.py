@@ -202,7 +202,7 @@ def pathloss_db(cfg: ScenarioConfig, distance_m):
     return pl if np.ndim(distance_m) else float(pl)
 
 
-def realize_channels(cfg: ScenarioConfig, positions: np.ndarray, rng) -> ChannelRealization:
+def realize_channels(cfg: ScenarioConfig, positions: np.ndarray, key) -> ChannelRealization:
     """Draw the full cross-gain tensor for a dropped topology.
 
     Per (tx, rx, tone) triple the gain is the scenario pathloss plus an
@@ -210,14 +210,13 @@ def realize_channels(cfg: ScenarioConfig, positions: np.ndarray, rng) -> Channel
     positions must be (2I, 2) for the config's I links, laid out as
     drop_topology returns them.
 
-    rng is a numpy Generator, one stream for the whole tensor, or a seed key:
-    a non-negative int or a tuple of them.  With a key, pair (i, j) draws its
-    K shadowing terms from its own substream, exactly what
+    key is a seed key: a non-negative int or a tuple of them.  Pair (i, j)
+    draws its K shadowing terms from its own substream, exactly what
     np.random.default_rng(key + (i, j)).normal(0.0, shadow_sigma_db, K)
     would draw, so the draws of a shared pair coincide across runs that
     differ only in link count.  The substreams' PCG64 seeds come from one
     vectorized pass of numpy's SeedSequence hash over all I^2 keys
-    (_pair_seed_words); PCG64 seeds itself from them.
+    (_pair_seed_words).
     """
     I, K = cfg.num_links, cfg.num_tones
     positions = np.asarray(positions, dtype=float)
@@ -228,16 +227,12 @@ def realize_channels(cfg: ScenarioConfig, positions: np.ndarray, rng) -> Channel
     dist = _distances(tx[:, None, :] - rx[None, :, :])
     pl = pathloss_db(cfg, np.maximum(dist, MIN_DISTANCE_M))
 
-    if isinstance(rng, np.random.Generator):
-        shadow = rng.normal(0.0, cfg.shadow_sigma_db, size=(I, I, K)) if cfg.shadow_sigma_db > 0 \
-            else np.zeros((I, I, K))
-    else:
-        key = (rng,) if isinstance(rng, (int, np.integer)) else tuple(rng)
-        shadow = np.empty((I * I, K))
-        for row, words in zip(shadow, _pair_seed_words(key, I)):
-            sub = np.random.Generator(np.random.PCG64(_SeedWords(words)))
-            row[:] = sub.normal(0.0, cfg.shadow_sigma_db, size=K)
-        shadow = shadow.reshape(I, I, K)
+    key = key if isinstance(key, tuple) else (key,)
+    shadow = np.empty((I * I, K))
+    for row, words in zip(shadow, _pair_seed_words(key, I)):
+        sub = np.random.Generator(np.random.PCG64(_SeedWords(words)))
+        row[:] = sub.normal(0.0, cfg.shadow_sigma_db, size=K)
+    shadow = shadow.reshape(I, I, K)
 
     cross = 10.0 ** (-(pl[:, :, None] + shadow) / 10.0)
     if not (np.isfinite(cross).all() and (cross > 0.0).all()):
@@ -249,100 +244,72 @@ def realize_channels(cfg: ScenarioConfig, positions: np.ndarray, rng) -> Channel
 # SeedSequence(seed).generate_state(4, np.uint64) returns.  SeedSequence
 # (numpy/random/bit_generator.pyx) splits the seed's ints into 32-bit entropy
 # words, hashes them into a pool of four words, mixes the pool and hashes it
-# out again, all in uint32 arithmetic.  _pair_seed_words runs those steps for
-# the entropy of every key + (i, j) at once.  Words that only depend on the
-# key stay Python ints (masked to 32 bits); words that depend on i or j are
-# uint32 arrays broadcasting over (i, j), and a step that updates several
-# pool words does them as one array with the words on its last axis.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875    # hash constants of the pool's mixing
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED    # and of generate_state
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# the same constants as uint32 arrays, for operations on array words
-_SHIFT, _MIX_L32, _MIX_R32 = (np.array(c, dtype=np.uint32) for c in (16, _MIX_L, _MIX_R))
-
-
-def _hash_constants(init, mult, count):
-    """The hash constant before each of count successive hashes, and after the last."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return out
-
-
+# out again, all in uint32 arithmetic.  _pair_seed_words runs those steps on
+# one (I, I, words) uint32 array holding the entropy of every key + (i, j),
+# and each step updates the whole pool at once: pool words on the last axis,
+# and a row of four hash constants per step.
+_MULT_A = 0x931E8875
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# The hash constant before each of the pool's hashes, and after the last, in
+# order: its four entropy words, pool word src into the other three for each
+# src, then four per further entropy word.  One row of _POOL_XOR and _POOL_MUL
+# holds the constants before and after the hashes of one whole-pool step; in
+# row 1 + src, column src mixes the word into itself, which the caller undoes,
+# so its constant, index -1, is a dummy.
+_POOL_CONSTS = np.multiply.accumulate(np.array([0x43B0D7E5] + [_MULT_A] * 20, np.uint32), dtype=np.uint32)
+_POOL_ORDER = np.array([[0, 1, 2, 3], [-1, 4, 5, 6], [7, -1, 8, 9], [10, 11, -1, 12],
+                        [13, 14, 15, -1], [16, 17, 18, 19]])
+_POOL_XOR, _POOL_MUL = _POOL_CONSTS[_POOL_ORDER], _POOL_CONSTS[_POOL_ORDER + 1]
+# each further entropy word's constants are the last word's times _MULT_A ** 4
+_WORD_STEP = np.uint32(_MULT_A ** 4 & 0xFFFFFFFF)
 # generate_state(4, np.uint64) hashes the pool words 0 1 2 3 0 1 2 3 in turn
-_STATE_CONSTS = np.array(_hash_constants(_INIT_B, _MULT_B, 8), dtype=np.uint32)
+_STATE_CONSTS = np.multiply.accumulate(np.array([0x8B51F9DD] + [0x58F38DED] * 8, np.uint32), dtype=np.uint32)
 _STATE_XOR, _STATE_MUL = _STATE_CONSTS[:-1].reshape(2, 4), _STATE_CONSTS[1:].reshape(2, 4)
 
 
-def _fold(x):
-    """x ^ (x >> 16) of a uint32 word; a Python int is masked to 32 bits first."""
-    if isinstance(x, int):
-        x &= _MASK32
-        return x ^ x >> 16
-    return x ^ x >> _SHIFT
-
-
 def _hashmix(value, xor_const, mul_const):
-    return _fold((value ^ xor_const) * mul_const)
+    x = (value ^ xor_const) * mul_const
+    return x ^ x >> 16
 
 
 def _mix(x, y):
-    x = _MIX_L * x & _MASK32 if isinstance(x, int) else _MIX_L32 * x
-    y = _MIX_R * y & _MASK32 if isinstance(y, int) else _MIX_R32 * y
-    return _fold(x - y)
-
-
-def _stack(words):
-    """The words (ints or arrays) broadcast against each other and stacked on a last axis."""
-    if all(isinstance(w, int) for w in words):
-        return np.array(words, dtype=np.uint32)
-    out = np.empty(np.broadcast(*words).shape + (len(words),), dtype=np.uint32)
-    for n, w in enumerate(words):
-        out[..., n] = w
-    return out
-
-
-def _mix_into(pool, src, consts):
-    """Mix pool word src into the other three in turn: pool[d] = mix(pool[d],
-    hashmix(pool[src])), the n-th hashmix going from hash constant consts[n]
-    to consts[n + 1]."""
-    dsts = [d for d in range(4) if d != src]
-    value = pool[src]
-    if isinstance(value, int):
-        for n, d in enumerate(dsts):
-            pool[d] = _mix(pool[d], _hashmix(value, consts[n], consts[n + 1]))
-        return
-    c = np.array(consts[:4], dtype=np.uint32)
-    mixed = _mix(_stack([pool[d] for d in dsts]), _hashmix(value[..., None], c[:-1], c[1:]))
-    for n, d in enumerate(dsts):
-        pool[d] = mixed[..., n]
+    x = _MIX_L * x - _MIX_R * y
+    return x ^ x >> 16
 
 
 def _pair_seed_words(key, I):
     """PCG64 seed words of default_rng(key + (i, j)) for every pair: an
-    (I * I, 4) uint64 array, row i * I + j."""
-    entropy = []
+    (I * I, 4) uint64 array, row i * I + j, the words
+    SeedSequence(key + (i, j)).generate_state(4, np.uint64) returns.
+
+    key is a tuple of non-negative ints; an int of any size contributes its
+    32-bit words, least significant first, as SeedSequence splits it.
+    """
+    words = []
     for value in key:
         value = check_seed("seed key element", value)
-        entropy.append(value & _MASK32)
-        while value > _MASK32:
+        words.append(value & 0xFFFFFFFF)
+        while value > 0xFFFFFFFF:
             value >>= 32
-            entropy.append(value & _MASK32)
-    index = np.arange(I, dtype=np.uint32)
-    entropy += [index[:, None], index[None, :]]
-    consts = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(len(entropy) - 4, 0))
-    # the first four entropy words (zeros past the end) hash into the pool,
-    pool = [_hashmix(entropy[d] if d < len(entropy) else 0, consts[d], consts[d + 1])
-            for d in range(4)]
+            words.append(value & 0xFFFFFFFF)
+    n = len(words)
+    # the entropy words, zeros past the end up to the pool's four
+    entropy = np.zeros((I, I, max(n + 2, 4)), dtype=np.uint32)
+    entropy[..., :n] = words
+    entropy[..., n] = np.arange(I, dtype=np.uint32)[:, None]
+    entropy[..., n + 1] = np.arange(I, dtype=np.uint32)
+    # the first four entropy words hash into the pool,
+    pool = _hashmix(entropy[..., :4], _POOL_XOR[0], _POOL_MUL[0])
     # each pool word is mixed into the other three,
     for src in range(4):
-        _mix_into(pool, src, consts[4 + 3 * src:])
+        mixed = _mix(pool, _hashmix(pool[..., src, None], _POOL_XOR[1 + src], _POOL_MUL[1 + src]))
+        mixed[..., src] = pool[..., src]
+        pool = mixed
     # and each further entropy word into all four
-    pool = _stack(pool)
-    for n, word in enumerate(entropy[4:]):
-        c = np.array(consts[16 + 4 * n:21 + 4 * n], dtype=np.uint32)
-        pool = _mix(pool, _hashmix(word if isinstance(word, int) else word[..., None], c[:-1], c[1:]))
+    xor, mul = _POOL_XOR[5], _POOL_MUL[5]
+    for word in range(4, entropy.shape[-1]):
+        pool = _mix(pool, _hashmix(entropy[..., word, None], xor, mul))
+        xor, mul = xor * _WORD_STEP, mul * _WORD_STEP
     state = _hashmix(pool[..., None, :], _STATE_XOR, _STATE_MUL)    # (I, I, 2, 4)
     # the eight uint32 words pair up little-endian into four uint64 words
     return state.reshape(I * I, 8).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)

@@ -6,10 +6,10 @@ the slotted protocol where links first exchange gains over the signaling
 channel, then each schedules itself from its own (possibly inconsistent)
 view, collides, and backs off probabilistically.
 
-Seed discipline: trial t draws all of its randomness from substreams keyed
-by (master_seed, t, stage), so records do not depend on execution order and
-a sweep over link counts reuses the same positions and fading for the links
-common to two counts.
+Seed discipline: a run's master seed is cfg.rng_seed, and trial t draws all
+of its randomness from substreams keyed by (cfg.rng_seed, t, stage), so
+records do not depend on execution order and a sweep over link counts reuses
+the same positions and fading for the links common to two counts.
 
 Objectives in records are bits/s: solver-side rates are natural-log units
 and get scaled by tone_bandwidth / ln(2) here.  Per-link rates come from the
@@ -23,7 +23,7 @@ import csv
 import time
 import numpy as np
 
-from .channel import (ScenarioConfig, check_seed, _distances, drop_topology, realize_channels,
+from .channel import (ScenarioConfig, MIN_DISTANCE_M, _distances, drop_topology, realize_channels,
                       pathloss_db)
 from .signaling import build_cdf_table, run_signaling_slot
 from .tssolver import (TSProblem, Allocation, power_phase, subgradient_solve, recover_primal,
@@ -74,10 +74,9 @@ def _bps_factor(cfg: ScenarioConfig) -> float:
     return cfg.tone_bandwidth_hz / np.log(2.0)
 
 
-def _trial_realization(cfg: ScenarioConfig, master_seed: int, trial: int):
-    pos_rng = np.random.default_rng((master_seed, trial, 1))
-    positions = drop_topology(cfg, pos_rng)
-    return realize_channels(cfg, positions, (master_seed, trial, 2))
+def _trial_realization(cfg: ScenarioConfig, trial: int):
+    positions = drop_topology(cfg, np.random.default_rng((cfg.rng_seed, trial, 1)))
+    return realize_channels(cfg, positions, (cfg.rng_seed, trial, 2))
 
 
 # Each runner returns (per-link rates in nats or None when skipped, iterations).
@@ -113,7 +112,7 @@ ALGORITHMS = tuple(_SOLVERS)
 
 
 def run_experiment(cfg: ScenarioConfig, algorithms=("SOA", "IWFA"), trials: int = 100,
-                   master_seed=None, power_mode: str = "equal", signaling_overhead: float = 0.0):
+                   power_mode: str = "equal", signaling_overhead: float = 0.0):
     """Solve `trials` independent instances with each algorithm.
 
     Every algorithm sees the identical realization within a trial.  A
@@ -125,6 +124,8 @@ def run_experiment(cfg: ScenarioConfig, algorithms=("SOA", "IWFA"), trials: int 
     spent signaling.
     """
     cfg.validate()
+    if not algorithms:
+        raise ValueError(f"no algorithm given, expected a non-empty subset of {ALGORITHMS}")
     for name in algorithms:
         if name not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {name!r}, expected subset of {ALGORITHMS}")
@@ -132,12 +133,11 @@ def run_experiment(cfg: ScenarioConfig, algorithms=("SOA", "IWFA"), trials: int 
     trials = _check_count("trials", trials)
     if not 0.0 <= signaling_overhead < 1.0:
         raise ValueError("signaling_overhead must be in [0, 1)")
-    master_seed = cfg.rng_seed if master_seed is None else check_seed("master_seed", master_seed)
 
     factor = _bps_factor(cfg) * (1.0 - signaling_overhead)
     records = []
     for t in range(trials):
-        realization = _trial_realization(cfg, master_seed, t)
+        realization = _trial_realization(cfg, t)
         weights = np.ones(cfg.num_links)
         budgets = np.full(cfg.num_links, cfg.max_power_mw)
         problem = TSProblem(gains=realization.direct_gain, weights=weights, budgets=budgets)
@@ -158,7 +158,7 @@ def run_experiment(cfg: ScenarioConfig, algorithms=("SOA", "IWFA"), trials: int 
                 runtime_us=max(runtime_ns, 1) / 1000.0,
                 iterations=iterations,
                 collisions=0,
-                seed=master_seed,
+                seed=cfg.rng_seed,
                 per_link_rates_bps=rates,
                 skipped=skipped,
             ))
@@ -173,14 +173,14 @@ def scenario_gain_samples(cfg: ScenarioConfig, rng: np.random.Generator) -> np.n
     lengths come from channel._distances, the bits of np.linalg.norm.
     """
     pos = drop_topology(replace(cfg, num_links=GAIN_SAMPLES), rng)
-    dist = np.maximum(_distances(pos[0::2] - pos[1::2]), 1.0)
+    dist = np.maximum(_distances(pos[0::2] - pos[1::2]), MIN_DISTANCE_M)
     pl = pathloss_db(cfg, dist) + rng.normal(0.0, cfg.shadow_sigma_db, size=GAIN_SAMPLES)
     return 10.0 ** (-pl / 10.0) / cfg.noise_power_mw
 
 
 def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0.0,
                           giveup_probability: float = 0.5, signaling_levels: int = 16,
-                          master_seed=None, power_mode: str = "equal"):
+                          power_mode: str = "equal"):
     """Play the slotted protocol on one topology and return per-slot states.
 
     Signal losses are drawn once, here, with probability p_loss per
@@ -212,7 +212,6 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
         raise ValueError("giveup_probability must be in [0, 1]")
     num_slots = _check_count("num_slots", num_slots)
     _check_count("signaling_levels", signaling_levels)
-    master_seed = cfg.rng_seed if master_seed is None else check_seed("master_seed", master_seed)
 
     I, K = cfg.num_links, cfg.num_tones
     factor = _bps_factor(cfg)
@@ -220,15 +219,15 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
     weights = np.ones(I)
 
     # the codebook comes first, so a bad signaling_levels fails before the channel draw
-    table_rng = np.random.default_rng((master_seed, 0, 5))
+    table_rng = np.random.default_rng((cfg.rng_seed, 0, 5))
     table = build_cdf_table(scenario_gain_samples(cfg, table_rng), signaling_levels)
-    realization = _trial_realization(cfg, master_seed, 0)
+    realization = _trial_realization(cfg, 0)
     truth = TSProblem(gains=realization.direct_gain, weights=weights, budgets=budgets)
 
-    loss_mask = np.random.default_rng((master_seed, 0, 3)).random((I, I, K)) < p_loss
+    loss_mask = np.random.default_rng((cfg.rng_seed, 0, 3)).random((I, I, K)) < p_loss
     views = run_signaling_slot(realization, table, cfg.max_power_mw, loss_mask=loss_mask)
 
-    giveup_rng = np.random.default_rng((master_seed, 0, 4))
+    giveup_rng = np.random.default_rng((cfg.rng_seed, 0, 4))
     given_up = [set() for _ in range(I)]
     claims = [[] for _ in range(I)]
     power = np.zeros((I, K))

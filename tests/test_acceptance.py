@@ -50,7 +50,7 @@ def sandwich_set():
         cfg = ScenarioConfig(num_links=num_links, num_tones=4, rng_seed=100 + num_links)
         budgets = np.full(num_links, cfg.max_power_mw)
         for t in range(67):
-            real = _trial_realization(cfg, cfg.rng_seed, t)
+            real = _trial_realization(cfg, t)
             prob = TSProblem(gains=real.direct_gain, weights=np.ones(num_links),
                              budgets=budgets)
             greedy = soa_allocate(prob, "equal").objective

@@ -167,7 +167,7 @@ class TestIwfa:
     def test_delta_trace_explains_the_stop(self):
         cases = [(random_realization(np.random.default_rng(seed), cross_scale=scale), np.ones(3), rounds)
                  for seed, scale, rounds in [(3, 0.5, 1), (4, 0.2, 200), (5, 0.8, 3)]]
-        cases += [(_trial_realization(cfg, cfg.rng_seed, 0), np.full(cfg.num_links, cfg.max_power_mw), 200)
+        cases += [(_trial_realization(cfg, 0), np.full(cfg.num_links, cfg.max_power_mw), 200)
                   for cfg in SWEEP_POOL[9:18]]
         outcomes = set()
         for real, budgets, max_rounds in cases:
@@ -392,7 +392,7 @@ class TestIwfaMatchesReference:
     def test_sweep_pool_bit_identical(self):
         capped = 0
         for cfg in SWEEP_POOL + [ScenarioConfig(rng_seed=5, num_links=10, num_tones=64)]:
-            real = _trial_realization(cfg, cfg.rng_seed, 0)
+            real = _trial_realization(cfg, 0)
             budgets = np.full(cfg.num_links, cfg.max_power_mw)
             power, rounds, converged, deltas = reference_iwfa(real, budgets)
             out = iwfa_solve(real, budgets)
@@ -411,7 +411,7 @@ class TestIwfaMatchesReference:
         core = baselines._water_fill_core
         monkeypatch.setattr(baselines, "_water_fill_core",
                             lambda *args: calls.append(1) or core(*args))
-        real = _trial_realization(self.CYCLING, 779, 0)
+        real = _trial_realization(self.CYCLING, 0)
         out = iwfa_solve(real, np.full(3, self.CYCLING.max_power_mw))
         # the starting point, then 33 rounds of 3 best responses, not 200
         assert len(calls) == 3 + 33 * 3
@@ -421,7 +421,7 @@ class TestIwfaMatchesReference:
     def test_skipped_cycle_ends_where_every_round_would(self, max_rounds):
         # caps before the first repeat, at it, and at each phase of the
         # 8-round cycle after it
-        real = _trial_realization(self.CYCLING, 779, 0)
+        real = _trial_realization(self.CYCLING, 0)
         budgets = np.full(3, self.CYCLING.max_power_mw)
         power, rounds, converged, deltas = reference_iwfa(real, budgets, max_rounds)
         out = iwfa_solve(real, budgets, max_rounds=max_rounds)

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ class TestRunExperiment:
     def test_objective_recomputed_from_allocation(self):
         cfg = small_cfg()
         rec = run_experiment(cfg, algorithms=("SOA",), trials=1)[0]
-        realization = _trial_realization(cfg, cfg.rng_seed, 0)
+        realization = _trial_realization(cfg, 0)
         problem = TSProblem(gains=realization.direct_gain,
                             weights=np.ones(3), budgets=np.full(3, cfg.max_power_mw))
         alloc = soa_allocate(problem, "equal")
@@ -84,6 +85,8 @@ class TestRunExperiment:
         cfg = small_cfg()
         with pytest.raises(ValueError):
             run_experiment(cfg, algorithms=("SOA", "fastest"), trials=1)
+        with pytest.raises(ValueError, match="no algorithm given"):
+            run_experiment(cfg, algorithms=(), trials=1)
         with pytest.raises(ValueError):
             run_experiment(cfg, trials=0)
         with pytest.raises(ValueError):
@@ -106,17 +109,17 @@ class TestRunExperiment:
         cfg = small_cfg()
         recs = run_experiment(cfg, algorithms=("IWFA",), trials=3)
         for t, rec in enumerate(recs):
-            realization = _trial_realization(cfg, cfg.rng_seed, t)
+            realization = _trial_realization(cfg, t)
             result = iwfa_solve(realization, np.full(3, cfg.max_power_mw))
             want = result.rate * _bps_factor(cfg)
             assert rec.per_link_rates_bps.tobytes() == want.tobytes()
             assert rec.iterations == result.rounds
 
     @pytest.mark.parametrize("seed", [-1, 2.5])
-    def test_bad_master_seed_rejected_before_the_first_draw(self, seed):
+    def test_bad_rng_seed_rejected_before_the_first_draw(self, seed, no_channel_draw):
         # unchecked, a negative seed failed inside numpy's SeedSequence
-        with pytest.raises(ValueError, match="master_seed must be a non-negative integer"):
-            run_experiment(small_cfg(), trials=1, master_seed=seed)
+        with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
+            run_experiment(small_cfg(rng_seed=seed), trials=1)
 
     def test_all_algorithm_names_run(self):
         cfg = small_cfg()
@@ -160,15 +163,15 @@ class TestDistributedSlots:
 
     def test_realized_never_exceeds_intended(self):
         cfg = small_cfg(num_links=4, num_tones=8)
-        states = run_distributed_slots(cfg, num_slots=6, p_loss=0.2, master_seed=11)
+        states = run_distributed_slots(replace(cfg, rng_seed=11), num_slots=6, p_loss=0.2)
         for s in states:
             assert np.all(s.realized_rate_bps <= s.intended_rate_bps + 1e-9)
 
     def test_budgets_respected_each_slot(self):
         cfg = small_cfg(num_links=4, num_tones=8)
         for mode in ("equal", "waterfill"):
-            states = run_distributed_slots(cfg, num_slots=3, p_loss=0.2,
-                                           master_seed=11, power_mode=mode)
+            states = run_distributed_slots(replace(cfg, rng_seed=11), num_slots=3, p_loss=0.2,
+                                           power_mode=mode)
             for s in states:
                 assert np.all(s.intended_power >= 0.0)
                 assert np.all(s.intended_power.sum(axis=1) <= cfg.max_power_mw + 1e-9)
@@ -176,8 +179,8 @@ class TestDistributedSlots:
     def test_certain_giveup_never_recontests(self):
         # with giveup probability 1 a collider abandons the tone for good
         cfg = small_cfg(num_links=4, num_tones=6)
-        states = run_distributed_slots(cfg, num_slots=12, p_loss=0.3,
-                                       giveup_probability=1.0, master_seed=3)
+        states = run_distributed_slots(replace(cfg, rng_seed=3), num_slots=12, p_loss=0.3,
+                                       giveup_probability=1.0)
         seen = {}
         for s in states:
             for tone, group in s.collisions:
@@ -185,9 +188,9 @@ class TestDistributedSlots:
                 seen.setdefault(tone, set()).update(group)
 
     def test_deterministic(self):
-        cfg = small_cfg(num_links=4, num_tones=6)
-        a = run_distributed_slots(cfg, num_slots=5, p_loss=0.25, master_seed=5)
-        b = run_distributed_slots(cfg, num_slots=5, p_loss=0.25, master_seed=5)
+        cfg = small_cfg(num_links=4, num_tones=6, rng_seed=5)
+        a = run_distributed_slots(cfg, num_slots=5, p_loss=0.25)
+        b = run_distributed_slots(cfg, num_slots=5, p_loss=0.25)
         assert [s.claims for s in a] == [s.claims for s in b]
         assert [s.collisions for s in a] == [s.collisions for s in b]
 
@@ -202,10 +205,13 @@ class TestDistributedSlots:
                 run_distributed_slots(cfg, num_slots=1, p_loss=p_loss)
         with pytest.raises(ValueError, match="power_mode"):
             run_distributed_slots(cfg, num_slots=1, power_mode="greedy")
-        with pytest.raises(ValueError, match="master_seed must be a non-negative integer"):
-            run_distributed_slots(cfg, num_slots=1, master_seed=-1)
         with pytest.raises(ValueError, match="num_slots must be an integer >= 1"):
             run_distributed_slots(cfg, num_slots=2.5)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_bad_rng_seed_rejected_before_the_first_draw(self, seed, no_channel_draw):
+        with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
+            run_distributed_slots(small_cfg(rng_seed=seed), num_slots=1)
 
     @pytest.mark.parametrize("levels, message", [(2.5, "signaling_levels must be an integer >= 1"),
                                                  (3.0, "signaling_levels must be an integer >= 1"),
@@ -220,8 +226,8 @@ class TestDistributedSlots:
         # each (sender, receiver, tone) broadcast is erased with probability p_loss
         lost, total = 0, 0
         for seed in range(40):
-            states = run_distributed_slots(small_cfg(num_links=8, num_tones=64), num_slots=1,
-                                           p_loss=0.1, master_seed=seed)
+            states = run_distributed_slots(small_cfg(num_links=8, num_tones=64, rng_seed=seed),
+                                           num_slots=1, p_loss=0.1)
             for view in states[0].views:
                 lost += int(view.missing.sum())
                 total += view.missing.size
@@ -240,19 +246,19 @@ class TestDistributedSlots:
         monkeypatch.setattr(tssolver, "_water_fill_core", counting)
         reschedules = 0
         for seed in range(8):
-            states = run_distributed_slots(small_cfg(num_links=4, num_tones=10), num_slots=40,
-                                           p_loss=0.1, master_seed=seed, power_mode="waterfill")
+            states = run_distributed_slots(small_cfg(num_links=4, num_tones=10, rng_seed=seed),
+                                           num_slots=40, p_loss=0.1, power_mode="waterfill")
             reschedules += sum(len(st.rescheduled) for st in states)
         assert reschedules > 8 * 4       # give-ups made links re-schedule
         assert 0 < calls <= reschedules
 
     @staticmethod
-    def rescheduled_every_slot(cfg, states, giveup_probability, master_seed, power_mode):
+    def rescheduled_every_slot(cfg, states, giveup_probability, power_mode):
         """Reference slot loop: every link re-runs the greedy on its view in every slot."""
         I, K = cfg.num_links, cfg.num_tones
         weights, budgets = np.ones(I), np.full(I, cfg.max_power_mw)
         views = states[0].views
-        giveup_rng = np.random.default_rng((master_seed, 0, 4))
+        giveup_rng = np.random.default_rng((cfg.rng_seed, 0, 4))
         given_up = [set() for _ in range(I)]
         slots = []
         for _ in states:
@@ -288,11 +294,11 @@ class TestDistributedSlots:
         if p_loss == 0.1:
             cases.append((16, 64, 1))    # dense: several links re-schedule in one slot
         for num_links, num_tones, seed in cases:
-            cfg = small_cfg(num_links=num_links, num_tones=num_tones)
+            cfg = small_cfg(num_links=num_links, num_tones=num_tones, rng_seed=seed)
             states = run_distributed_slots(cfg, num_slots=15, p_loss=p_loss,
                                            giveup_probability=giveup_probability,
-                                           master_seed=seed, power_mode=power_mode)
-            want = self.rescheduled_every_slot(cfg, states, giveup_probability, seed, power_mode)
+                                           power_mode=power_mode)
+            want = self.rescheduled_every_slot(cfg, states, giveup_probability, power_mode)
             for st, (claims, collisions, power) in zip(states, want):
                 assert st.claims == claims
                 assert st.collisions == collisions
@@ -307,10 +313,9 @@ class TestDistributedSlots:
         # a link runs the greedy in slot 0 and in each slot after it gives up a tone
         batches = []
         for seed in (1, 5, 9):
-            cfg = small_cfg(num_links=6, num_tones=12)
+            cfg = small_cfg(num_links=6, num_tones=12, rng_seed=seed)
             states = run_distributed_slots(cfg, num_slots=10, p_loss=0.3,
-                                           giveup_probability=giveup_probability,
-                                           master_seed=seed)
+                                           giveup_probability=giveup_probability)
             giveup_rng = np.random.default_rng((seed, 0, 4))
             want = tuple(range(6))
             for slot, st in enumerate(states):
@@ -328,10 +333,9 @@ class TestDistributedSlots:
     def test_each_state_rates_match_its_own_power(self, power_mode):
         collided = 0
         for seed in (1, 5, 9):
-            cfg = small_cfg(num_links=5, num_tones=8)
-            states = run_distributed_slots(cfg, num_slots=15, p_loss=0.3, master_seed=seed,
-                                           power_mode=power_mode)
-            realization = _trial_realization(cfg, seed, 0)
+            cfg = small_cfg(num_links=5, num_tones=8, rng_seed=seed)
+            states = run_distributed_slots(cfg, num_slots=15, p_loss=0.3, power_mode=power_mode)
+            realization = _trial_realization(cfg, 0)
             truth = TSProblem(gains=realization.direct_gain, weights=np.ones(5),
                               budgets=np.full(5, cfg.max_power_mw))
             factor = _bps_factor(cfg)

@@ -12,7 +12,9 @@ one sort.  The protocol run skips numpy's convenience wrappers: the signaling
 codebook reads numpy's linear quantiles from one sort (_linear_quantiles for
 np.quantile), link lengths are sqrt(add.reduce(d * d, axis=-1)) (_distances
 for np.linalg.norm), and direct gains are the strided diagonal rows of the
-cross gains (_diagonal_rows for np.einsum("iik->ik")).  These tests pin the
+cross gains (_diagonal_rows for np.einsum("iik->ik")).  The channel's keyed
+substreams seed PCG64 from _pair_seed_words, numpy's SeedSequence hash run
+on uint32 arrays for every link pair at once.  These tests pin the
 equivalences on the numpy that runs them, so a numpy version or SIMD path
 where they differ fails here first.
 """
@@ -23,7 +25,7 @@ import struct
 import numpy as np
 import pytest
 
-from smallcell.channel import _diagonal_rows, _distances
+from smallcell.channel import _diagonal_rows, _distances, _pair_seed_words
 from smallcell.signaling import _linear_quantiles
 from smallcell.tssolver import STEP_SCHEDULE
 
@@ -172,3 +174,22 @@ def test_diagonal_rows_are_the_einsum_view(links, tones):
     power = np.random.default_rng(0).random((links, tones))
     assert (rows * power).tobytes() == (want * power).tobytes()
     assert (rows / 0.25).tobytes() == (want / 0.25).tobytes()
+
+
+_KEYS = [(), (0,), (7,),
+         (1234, 0, 2), (777, 99, 1), (5000, 3, 5),                  # (seed, trial, stage)
+         (2 ** 32 - 1, 0, 2), (2 ** 32, 7, 2), (2 ** 64 - 1, 1, 3), (2 ** 100, 0, 2),
+         (2 ** 32 - 1,), (2 ** 32,), (2 ** 64 - 1,), (2 ** 100,),
+         tuple(range(10)),                                          # 8 further entropy words
+         (2 ** 100, 2 ** 64 - 1, 2 ** 32, 2 ** 32 - 1, 0, 1, 2, 3, 4, 5)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("num_links", [1, 2, 3, 5, 16, 17])
+@pytest.mark.parametrize("key", _KEYS)
+def test_pair_seed_words_are_the_seed_sequence_state(key, num_links):
+    got = _pair_seed_words(key, num_links)
+    want = np.array([np.random.SeedSequence(key + (i, j)).generate_state(4, np.uint64)
+                     for i in range(num_links) for j in range(num_links)])
+    assert got.dtype == want.dtype == np.uint64
+    assert got.tobytes() == want.tobytes()

@@ -186,7 +186,7 @@ class TestEncodeDecode:
 def small_realization(num_links=4, num_tones=10, seed=0):
     cfg = ScenarioConfig(num_links=num_links, num_tones=num_tones)
     pos = drop_topology(cfg, np.random.default_rng(seed))
-    return cfg, realize_channels(cfg, pos, np.random.default_rng(seed + 1))
+    return cfg, realize_channels(cfg, pos, seed + 1)
 
 
 class TestSignalingSlot:

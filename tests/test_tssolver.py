@@ -408,7 +408,7 @@ def _sandwich_pool():
     for seed in range(100, 124):
         for num_links in (1, 2, 3):
             cfg = ScenarioConfig(num_links=num_links, num_tones=4, rng_seed=seed)
-            real = _trial_realization(cfg, seed, 0)
+            real = _trial_realization(cfg, 0)
             yield (TSProblem(gains=real.direct_gain, weights=np.ones(num_links),
                              budgets=np.full(num_links, cfg.max_power_mw)), 2000, 1e-4)
 
