@@ -99,8 +99,6 @@ def iwfa_solve(realization, budgets, max_rounds: int = 200) -> InterferenceAlloc
     if not np.all((budgets > 0.0) & (budgets < np.inf)):
         raise ValueError("budgets must be finite and strictly positive")
     noise = realization.noise_power_mw
-    if not (np.all((cross >= 0.0) & (cross < np.inf)) and 0.0 < noise < np.inf):
-        raise ValueError("cross gains must be finite and non-negative, noise finite and positive")
     # per link: the gains from every transmitter into its receiver, its own
     # direct gains, its budget and its positive-gain tones (None when all are)
     links = []

@@ -14,7 +14,8 @@ raw channel gain by the noise power over one tone, so gain (1/mW) times
 transmit power (mW) is a plain per-tone SNR.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+import math
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
@@ -29,7 +30,7 @@ _INNER_WALL = ("urban-indoor", "urban-outdoor")
 MIN_DISTANCE_M = 1.0  # clamp below this to dodge near-field blowup on coincident drops
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Deployment parameters for one experiment.
 
@@ -52,7 +53,7 @@ class ScenarioConfig:
     shadow_sigma_db: float = 3.0
     rng_seed: int = 1234
 
-    def validate(self):
+    def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
         _check_count("num_links", self.num_links)
@@ -63,15 +64,22 @@ class ScenarioConfig:
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
         for f in fields(self):
-            if f.type in (float, "float") and not np.isfinite(getattr(self, f.name)):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         check_seed("rng_seed", self.rng_seed)
-        return self
+        for derived, settings in (("noise_power_mw", "noise_density_dbm_hz and tone_bandwidth_hz"),
+                                  ("max_power_mw", "max_power_dbm")):
+            try:
+                value = getattr(self, derived)
+            except OverflowError:  # what a float power raises where numpy's gives inf
+                value = math.inf
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{derived} from {settings} is {value!r}, not finite and positive")
 
     @property
     def noise_power_mw(self) -> float:
         """Linear noise power over one tone bandwidth."""
-        return 10.0 ** ((self.noise_density_dbm_hz + 10.0 * np.log10(self.tone_bandwidth_hz)) / 10.0)
+        return 10.0 ** ((self.noise_density_dbm_hz + 10.0 * float(np.log10(self.tone_bandwidth_hz))) / 10.0)
 
     @property
     def max_power_mw(self) -> float:
@@ -83,8 +91,8 @@ class ChannelRealization:
     """One frozen draw of the channel.
 
     cross_gain[i, j, k] is the linear gain from transmitter i to receiver j on
-    tone k.  direct_gain[i, k] = cross_gain[i, i, k] / noise_power_mw is
-    derived from them when the realization is built, from _diagonal_rows.
+    tone k.  direct_gain[i, k] = cross_gain[i, i, k] / noise_power_mw is derived
+    when it is built, which rejects bad input; both arrays are read-only copies.
     """
 
     cross_gain: np.ndarray        # (I, I, K), dimensionless
@@ -92,8 +100,19 @@ class ChannelRealization:
     direct_gain: np.ndarray = field(init=False)    # (I, K), 1/mW
 
     def __post_init__(self):
-        object.__setattr__(self, "direct_gain",
-                           _diagonal_rows(self.cross_gain) / self.noise_power_mw)
+        cross, noise = np.array(self.cross_gain, dtype=float), self.noise_power_mw
+        if cross.ndim != 3 or cross.shape[0] != cross.shape[1] or 0 in cross.shape:
+            raise ValueError(f"cross_gain must have shape (I, I, K) with I, K >= 1, got {cross.shape}")
+        if not (cross.item(cross.argmin()) >= 0.0 and cross.item(cross.argmax()) < math.inf):
+            raise ValueError("cross gains must be finite and non-negative")
+        if not 0.0 < noise < math.inf:
+            raise ValueError(f"noise_power_mw must be finite and positive, got {noise!r}")
+        direct = _diagonal_rows(cross) / noise
+        if not direct.item(direct.argmax()) < math.inf:
+            raise ValueError(f"direct gains cross_gain[i, i, k] / {noise!r} overflow")
+        cross.flags.writeable = direct.flags.writeable = False
+        object.__setattr__(self, "cross_gain", cross)
+        object.__setattr__(self, "direct_gain", direct)
 
     @property
     def num_links(self) -> int:
@@ -130,8 +149,8 @@ def check_seed(name: str, value) -> int:
 def config_from_file(path, **overrides) -> ScenarioConfig:
     """Read a flat key=value config file; keyword overrides win over the file.
 
-    Keys match ScenarioConfig field names.  Blank lines and '#' comments are
-    skipped.  Unknown keys raise.
+    Keys match ScenarioConfig field names, values parse as the field's type.
+    Blank lines and '#' comments are skipped.  Unknown keys and bad values raise.
     """
     ftypes = {f.name: f.type for f in fields(ScenarioConfig)}
     values = {}
@@ -145,19 +164,11 @@ def config_from_file(path, **overrides) -> ScenarioConfig:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in ftypes:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(ftypes[key], val)
-    cfg = replace(ScenarioConfig(), **values)
-    if overrides:
-        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    return cfg.validate()
-
-
-def _coerce(ftype, text):
-    if ftype in (int, "int"):
-        return int(text)
-    if ftype in (float, "float"):
-        return float(text)
-    return text
+            try:
+                values[key] = ftypes[key](val)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} expects {ftypes[key].__name__}, got {val!r}") from None
+    return ScenarioConfig(**values | {k: v for k, v in overrides.items() if v is not None})
 
 
 def drop_topology(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
@@ -234,9 +245,8 @@ def realize_channels(cfg: ScenarioConfig, positions: np.ndarray, key) -> Channel
         row[:] = sub.normal(0.0, cfg.shadow_sigma_db, size=K)
     shadow = shadow.reshape(I, I, K)
 
-    cross = 10.0 ** (-(pl[:, :, None] + shadow) / 10.0)
-    if not (np.isfinite(cross).all() and (cross > 0.0).all()):
-        raise FloatingPointError("non-finite or non-positive channel gain")
+    with np.errstate(over="ignore"):  # ChannelRealization rejects an inf gain
+        cross = 10.0 ** (-(pl[:, :, None] + shadow) / 10.0)
     return ChannelRealization(cross_gain=cross, noise_power_mw=cfg.noise_power_mw)
 
 

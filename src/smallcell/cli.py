@@ -2,7 +2,6 @@
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .channel import ScenarioConfig, SCENARIOS, config_from_file
 from .harness import (ALGORITHMS, run_experiment, run_distributed_slots,
@@ -44,8 +43,7 @@ def _build_cfg(args, links=None, radius=None):
     }
     if args.config:
         return config_from_file(args.config, **overrides)
-    filled = {k: v for k, v in overrides.items() if v is not None}
-    return replace(ScenarioConfig(), **filled).validate()
+    return ScenarioConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 
 def _parse_algos(text):

@@ -123,7 +123,6 @@ def run_experiment(cfg: ScenarioConfig, algorithms=("SOA", "IWFA"), trials: int 
     signaling_overhead discounts all objectives by the fraction of the slot
     spent signaling.
     """
-    cfg.validate()
     if not algorithms:
         raise ValueError(f"no algorithm given, expected a non-empty subset of {ALGORITHMS}")
     for name in algorithms:
@@ -204,7 +203,6 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
     previous state's claims, powers, collisions and rates, so treat them as
     read-only; a slot that re-schedules writes into copies of them.
     """
-    cfg.validate()
     if not 0.0 <= p_loss <= 1.0:
         raise ValueError("p_loss must be in [0, 1]")
     _check_power_mode(power_mode)

@@ -182,6 +182,8 @@ def run_signaling_slot(realization, table: QuantizationTable, p0_mw: float, loss
     """
     I, K = realization.num_links, realization.num_tones
     lost = np.zeros((I, I, K), dtype=bool) if loss_mask is None else np.asarray(loss_mask, dtype=bool)
+    if lost.shape != (I, I, K):
+        raise ValueError(f"loss_mask must have shape {(I, I, K)}, got {lost.shape}")
 
     tx1, tx2 = encode_powers(realization.direct_gain, table, p0_mw)
     views = []

@@ -121,14 +121,15 @@ class TestIwfa:
     @pytest.mark.parametrize("entry, value", [((0, 1, 2), np.nan), ((1, 0, 0), -1.0),
                                               ((2, 2, 1), np.inf)])
     def test_bad_cross_gain_rejected(self, entry, value):
-        real = random_realization(np.random.default_rng(6))
-        real.cross_gain[entry] = value
+        cross = random_realization(np.random.default_rng(6)).cross_gain.copy()
+        cross[entry] = value
         with pytest.raises(ValueError, match="cross gains must be finite and non-negative"):
-            iwfa_solve(real, np.ones(3))
+            make_realization(cross)
 
     def test_link_without_a_positive_direct_gain_rejected(self):
-        real = random_realization(np.random.default_rng(6))
-        real.cross_gain[1, 1, :] = 0.0
+        cross = random_realization(np.random.default_rng(6)).cross_gain.copy()
+        cross[1, 1, :] = 0.0
+        real = make_realization(cross)
         with pytest.raises(ValueError, match="link 1 has no tone with positive direct gain"):
             iwfa_solve(real, np.ones(3))
 

@@ -1,4 +1,5 @@
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,54 @@ class TestRealizeChannels:
         real = ChannelRealization(cross_gain=cross, noise_power_mw=0.25)
         assert real.direct_gain.tobytes() == (np.einsum("iik->ik", cross) / 0.25).tobytes()
 
+    def test_arrays_are_read_only_copies(self):
+        # a write into cross_gain once left direct_gain stale
+        cross = np.random.default_rng(3).lognormal(0.0, 1.0, (3, 3, 4))
+        real = ChannelRealization(cross_gain=cross, noise_power_mw=0.25)
+        cross[0, 0, 0] = 0.0
+        assert real.cross_gain[0, 0, 0] > 0.0
+        for array in (real.cross_gain, real.direct_gain):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4), (0, 0, 4), (3, 3, 0), (3, 3, 4, 1)])
+    def test_cross_gain_of_another_shape_rejected(self, shape):
+        # unchecked, a 2-D array failed with "not enough values to unpack"
+        with pytest.raises(ValueError, match=r"cross_gain must have shape \(I, I, K\)"):
+            ChannelRealization(cross_gain=np.ones(shape), noise_power_mw=1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_bad_cross_gain_rejected(self, value):
+        # unchecked, a NaN gain gave NaN rates
+        cross = np.ones((3, 3, 4))
+        cross[1, 0, 2] = value
+        with pytest.raises(ValueError, match="cross gains must be finite and non-negative"):
+            ChannelRealization(cross_gain=cross, noise_power_mw=1.0)
+
+    @pytest.mark.parametrize("noise", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_noise_rejected(self, noise):
+        # unchecked, a negative noise power gave inf rates
+        with pytest.raises(ValueError, match="noise_power_mw must be finite and positive"):
+            ChannelRealization(cross_gain=np.ones((2, 2, 3)), noise_power_mw=noise)
+
+    def test_direct_gain_overflow_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="direct gains"):
+            ChannelRealization(cross_gain=np.full((2, 2, 3), 1e300), noise_power_mw=1e-300)
+
+    def test_zero_gains_accepted(self):
+        real = ChannelRealization(cross_gain=np.zeros((2, 2, 3)), noise_power_mw=1.0)
+        assert not real.direct_gain.any()
+
+    def test_shadowing_overflow_rejected_when_built(self):
+        # a gain that overflows once raised FloatingPointError, and through
+        # the CLI ended in a traceback
+        cfg = cfg_for(num_links=4, num_tones=10, shadow_sigma_db=10000.0)
+        pos = drop_topology(cfg, np.random.default_rng(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="cross gains must be finite"):
+                realize_channels(cfg, pos, 1)
+
     def test_shadowing_variance(self):
         cfg = cfg_for(num_links=1, num_tones=10000, shadow_sigma_db=8.0)
         positions = np.array([[0.0, 0.0], [10.0, 0.0]])
@@ -200,7 +249,47 @@ class TestConfigFile:
 
     def test_invalid_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario"):
-            ScenarioConfig(scenario="rural").validate()
+            ScenarioConfig(scenario="rural")
+
+    def test_replace_rechecks(self):
+        # unchecked, pathloss_db read a "rural" config as suburban-indoor
+        with pytest.raises(ValueError, match="unknown scenario 'rural'"):
+            replace(cfg_for(), scenario="rural")
+
+    def test_fields_are_frozen(self):
+        cfg = cfg_for()
+        with pytest.raises(FrozenInstanceError):
+            cfg.num_floors = -1
+
+    @pytest.mark.parametrize("field, value, derived", [
+        ("max_power_dbm", 4000.0, "max_power_mw"), ("max_power_dbm", -4000.0, "max_power_mw"),
+        ("noise_density_dbm_hz", 4000.0, "noise_power_mw"),
+        ("noise_density_dbm_hz", -4000.0, "noise_power_mw")])
+    def test_derived_power_out_of_range_rejected(self, field, value, derived):
+        # unchecked, max_power_dbm = 4000 raised OverflowError and
+        # noise_density_dbm_hz = 4000 reported 0 bit/s
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{derived} from .*{field}"):
+                cfg_for(**{field: value})
+
+    def test_file_value_an_override_replaces_is_not_checked(self, tmp_path):
+        path = tmp_path / "scenario.cfg"
+        path.write_text("num_links = 0\n")
+        assert config_from_file(path, num_links=4).num_links == 4
+        with pytest.raises(ValueError, match="num_links must be an integer >= 1"):
+            config_from_file(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("num_links = 2.5", "num_links expects int, got '2.5'"),
+        ("max_power_dbm = high", "max_power_dbm expects float, got 'high'")])
+    def test_unparsable_value_names_file_line_and_key(self, tmp_path, line, message):
+        # unchecked, the CLI printed only "invalid literal for int() with base 10: '2.5'"
+        path = tmp_path / "bad.cfg"
+        path.write_text("# header\n" + line + "\n")
+        with pytest.raises(ValueError) as info:
+            config_from_file(path)
+        assert str(info.value) == f"{path}:2: {message}"
 
     @pytest.mark.parametrize("field, value", [("num_floors", -1), ("shadow_sigma_db", -3.0),
                                               ("num_walls", -2), ("indoor_dist_m", -100.0),
@@ -209,7 +298,7 @@ class TestConfigFile:
         # unchecked, the first two crash mid-draw and the others silently
         # lower the path loss
         with pytest.raises(ValueError, match=f"{field} must be non-negative"):
-            cfg_for(**{field: value}).validate()
+            cfg_for(**{field: value})
 
     @pytest.mark.parametrize("field", [f.name for f in fields(ScenarioConfig) if f.type is float])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -217,21 +306,21 @@ class TestConfigFile:
         # unchecked, a NaN max_power_dbm reports 0 bit/s and the others fail
         # later, in realize_channels or TSProblem
         with pytest.raises(ValueError, match=field):
-            cfg_for(**{field: value}).validate()
+            cfg_for(**{field: value})
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
     def test_bad_rng_seed_rejected(self, seed):
-        # unchecked, a negative seed passed validate() and failed inside numpy
+        # unchecked, a negative seed was accepted and failed inside numpy
         # at the first draw
         with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
-            cfg_for(rng_seed=seed).validate()
+            cfg_for(rng_seed=seed)
 
     @pytest.mark.parametrize("field, value", [("num_links", 2.5), ("num_tones", 3.0)])
     def test_counts_not_integers_rejected(self, field, value):
-        # unchecked, a float count passed validate() and failed mid-run with
+        # unchecked, a float count was accepted and failed mid-run with
         # "'float' object cannot be interpreted as an integer"
         with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
-            cfg_for(**{field: value}).validate()
+            cfg_for(**{field: value})
 
     def test_zero_propagation_terms_accepted(self):
-        cfg_for(num_floors=0, shadow_sigma_db=0.0, num_walls=0, indoor_dist_m=0.0).validate()
+        cfg_for(num_floors=0, shadow_sigma_db=0.0, num_walls=0, indoor_dist_m=0.0)

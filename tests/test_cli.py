@@ -107,3 +107,22 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith(message)
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("line, message", [
+        # the first ended in an OverflowError traceback, the second reported
+        # 0.000 Mbit/s, the third ended in a FloatingPointError traceback
+        ("max_power_dbm = 4000", "max_power_mw from max_power_dbm is inf"),
+        ("noise_density_dbm_hz = 4000", "noise_power_mw from noise_density_dbm_hz and tone_bandwidth_hz is inf"),
+        ("shadow_sigma_db = 10000", "cross gains must be finite and non-negative"),
+        ("num_links = 2.5", "bad.cfg:1: num_links expects int, got '2.5'"),
+    ])
+    def test_rejected_config_file_is_a_one_line_usage_error(self, tmp_path, line, message, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sim", "--config", str(path), "--tones", "10", "--algos", "SOA", "--trials", "2"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("smallcell sim: error: ") and message in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

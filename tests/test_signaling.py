@@ -1,4 +1,5 @@
 from dataclasses import replace
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,14 @@ class TestSignalingSlot:
                 run_signaling_slot(real, table, p0)
             with pytest.raises(ValueError, match="reference power"):
                 run_signaling_slot(real, table, p0, loss_mask=every_pair_lost)
+
+    @pytest.mark.parametrize("shape", [(4, 4, 11), (1, 4, 10), (4, 10)])
+    def test_loss_mask_of_another_shape_rejected(self, shape):
+        # unchecked, these raised a bare "boolean index did not match" IndexError
+        cfg, real = small_realization()
+        table = build_cdf_table(real.direct_gain.ravel(), 4)
+        with pytest.raises(ValueError, match=re.escape(f"loss_mask must have shape (4, 4, 10), got {shape}")):
+            run_signaling_slot(real, table, cfg.max_power_mw, loss_mask=np.zeros(shape, dtype=bool))
 
     def test_zero_cross_gain_on_heard_pair_raises(self):
         cfg, real = small_realization()
