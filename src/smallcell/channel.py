@@ -67,6 +67,9 @@ class ScenarioConfig:
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         check_seed("rng_seed", self.rng_seed)
+        for f in fields(self):
+            if f.type is int and not isinstance(getattr(self, f.name), (int, np.integer)):
+                raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
         for derived, settings in (("noise_power_mw", "noise_density_dbm_hz and tone_bandwidth_hz"),
                                   ("max_power_mw", "max_power_dbm")):
             try:
@@ -107,7 +110,8 @@ class ChannelRealization:
             raise ValueError("cross gains must be finite and non-negative")
         if not 0.0 < noise < math.inf:
             raise ValueError(f"noise_power_mw must be finite and positive, got {noise!r}")
-        direct = _diagonal_rows(cross) / noise
+        with np.errstate(over="ignore"):  # an overflow is rejected just below
+            direct = _diagonal_rows(cross) / noise
         if not direct.item(direct.argmax()) < math.inf:
             raise ValueError(f"direct gains cross_gain[i, i, k] / {noise!r} overflow")
         cross.flags.writeable = direct.flags.writeable = False

@@ -30,7 +30,9 @@ therefore bounds the solver's error, and the run stops once it is within
 tol of the best dual value, plus LAM_FLOOR times the budgets' sum, the
 most by which the floor on the multipliers can hold the dual up.
 
-Water filling has one checked entry, water_fill, and two unchecked fills
+Water filling, p_k = max(nu - 1/g_k, 0) with the level nu set so the
+powers sum to the budget, is solved exactly by sorting the floors 1/g_k.
+It has one checked entry, power_phase, and two unchecked fills
 with the same bits: _water_fill_core writes one fill into a given zeroed
 row, and _water_fill_rows fills an (n, s) stack of rows at once.  numpy's
 fixed cost per call dominates at these sizes, and the stacked fill makes
@@ -51,7 +53,7 @@ import math
 import numpy as np
 
 LAM_FLOOR = 1e-12  # evaluation floor, keeps the log bid finite at lam -> 0
-# below this budget * strongest gain, water_fill measures levels from the
+# below this budget * strongest gain, _water_fill_core measures levels from the
 # strongest tone's floor, since budget + 1/g would round to 1/g
 WATER_FILL_MIN_SNR = 1e-6
 POWER_MODES = ("equal", "waterfill")
@@ -147,7 +149,7 @@ def power_phase(gains, sets, budgets, power_mode: str):
     the filled row in index order.  Each row's result is the one it gets
     alone.  There must be one set per row, each of distinct tones in
     [0, K); otherwise ValueError is raised before any power is split,
-    naming the first bad set.
+    naming the first bad set.  This is the package's one checked water fill.
     """
     _check_power_mode(power_mode)
     num_rows, num_tones = gains.shape
@@ -262,7 +264,7 @@ def _share_fill(problem: TSProblem):
     and the link's rate is sum T log(g nu) = sum T log1p(g p / T) over its
     wet entries.  value is the weighted sum rate.  Entries with no share or
     no gain stay dry.  Floors are measured from each link's strongest tone,
-    1/g - 1/g_max, as water_fill does at low SNR, so a budget that is
+    1/g - 1/g_max, as _water_fill_core does at low SNR, so a budget that is
     negligible next to 1/g is not lost to rounding; a tone whose floor
     overflows stays dry.
 
@@ -460,45 +462,6 @@ def subgradient_solve(problem: TSProblem, max_iters: int = 10000, tol=1e-4) -> S
     return SubgradientResult(best_dual=best, best_multipliers=best_lam, iterations=t,
                              converged=converged, best_trace=np.array(best_tr),
                              bound_trace=bound_trace, gap=gap)
-
-
-def water_fill(gains, budget: float) -> np.ndarray:
-    """Classic water filling: p_k = max(nu - 1/g_k, 0) with sum p = budget.
-
-    The water level nu is solved exactly by sorting: take the m strongest
-    tones, nu = (budget + sum of their inverse gains) / m, with m the largest
-    count keeping every taken tone above water.  m is found by stepping back
-    from the weakest tone until the level clears its floor, one step per dry
-    tone.  Zero-gain entries never get power; if no tone has positive gain
-    there is nothing to fill and the call raises.  So do gains that are not
-    1-D or contain NaN, and a budget that is not finite and positive.
-
-    When budget times the strongest gain is below WATER_FILL_MIN_SNR, the
-    budget is lost to rounding next to 1/g (or 1/g overflows), so the floors
-    1/g_k are measured from the strongest tone's floor instead.  Powers stay
-    non-negative and sum to the budget for every finite gain vector; only a
-    subnormal gain next to a strong tone still warns that 1/g overflowed
-    (that tone stays dry).  The checks run here; the fill itself is
-    _water_fill_core's.
-    """
-    g = np.asarray(gains, dtype=float)
-    if g.ndim == 0:
-        g = g.reshape(1)
-    if g.ndim != 1:
-        raise ValueError(f"gains must be 1-D, got shape {g.shape}")
-    if g.size == 0:
-        raise ValueError("empty gain list")
-    budget = float(budget)
-    if not 0.0 < budget < np.inf:
-        raise ValueError(f"budget must be finite and positive, got {budget}")
-    if np.isnan(g).any():
-        raise ValueError("gains must not be NaN")
-    usable = np.flatnonzero(g > 0.0)
-    if usable.size == 0:
-        raise ValueError("no tone with positive gain")
-    out = np.zeros(g.shape)
-    _water_fill_core(out, g[usable], usable, budget)
-    return out
 
 
 def _water_fill_core(out, gains, usable, budget: float) -> None:

@@ -18,7 +18,7 @@ import pytest
 
 from smallcell.channel import ScenarioConfig
 from smallcell.harness import _trial_realization, run_experiment, run_distributed_slots
-from smallcell.tssolver import TSProblem, subgradient_solve, recover_primal, water_fill
+from smallcell.tssolver import TSProblem, subgradient_solve, recover_primal, power_phase
 from smallcell.soa import soa_allocate
 from smallcell.baselines import oracle_orthogonal
 from smallcell.signaling import build_cdf_table, decode_levels, encode_powers
@@ -229,7 +229,7 @@ def test_water_fill_kkt_suite():
         n = int(rng.integers(1, 17))
         g = rng.lognormal(0.0, 2.0, n) * 10.0 ** rng.uniform(-2.0, 4.0)
         budget = 10.0 ** rng.uniform(-2.0, 2.0)
-        p = water_fill(g, budget)
+        p = power_phase(g[None], [np.arange(n)], np.array([budget]), "waterfill")[1][0]
         assert np.all(p >= 0.0)
         worst_bind = max(worst_bind, abs(p.sum() - budget) / budget)
         active = p > 0

@@ -6,8 +6,7 @@ import pytest
 
 from smallcell.channel import ChannelRealization, ScenarioConfig
 from smallcell.harness import _trial_realization
-from smallcell.tssolver import (TSProblem, water_fill, WATER_FILL_MIN_SNR, _water_fill_core,
-                                _water_fill_rows)
+from smallcell.tssolver import TSProblem, WATER_FILL_MIN_SNR, _water_fill_core, _water_fill_rows
 from smallcell.soa import soa_allocate
 from smallcell import baselines
 from smallcell.baselines import (InterferenceAllocation, evaluate_concurrent,
@@ -86,7 +85,7 @@ class TestIwfa:
         real = make_realization(g, noise=0.25)
         out = iwfa_solve(real, [2.0])
         assert out.converged and out.rounds == 1
-        assert np.allclose(out.power[0], water_fill(g[0, 0] / 0.25, 2.0))
+        assert np.allclose(out.power[0], classic_water_fill(g[0, 0] / 0.25, 2.0))
 
     def test_zero_cross_gain_converges_first_round(self):
         rng = np.random.default_rng(2)
@@ -96,7 +95,7 @@ class TestIwfa:
         out = iwfa_solve(make_realization(cross), [1.0, 3.0])
         assert out.converged and out.rounds == 1
         for i, b in enumerate([1.0, 3.0]):
-            assert np.allclose(out.power[i], water_fill(cross[i, i] / 1.0, b))
+            assert np.allclose(out.power[i], classic_water_fill(cross[i, i] / 1.0, b))
 
     def test_budgets_hold_every_round(self):
         real = random_realization(np.random.default_rng(3), cross_scale=0.5)
@@ -115,7 +114,7 @@ class TestIwfa:
         for i in range(3):
             floor = noise + np.einsum("jk,jk->k", cross[:, i, :], out.power) \
                 - cross[i, i, :] * out.power[i]
-            best = water_fill(cross[i, i, :] / floor, 1.0)
+            best = classic_water_fill(cross[i, i, :] / floor, 1.0)
             assert np.allclose(out.power[i], best, atol=1e-5)
 
     @pytest.mark.parametrize("entry, value", [((0, 1, 2), np.nan), ((1, 0, 0), -1.0),
@@ -183,7 +182,8 @@ class TestIwfa:
 
 
 def classic_water_fill(gains, budget):
-    """water_fill as a vectorized level search over every count of wet tones."""
+    """The reference water fill of one gain row: a vectorized level search
+    over every count of wet tones, the fix-up summed over the whole row."""
     g = np.atleast_1d(np.asarray(gains, dtype=float))
     usable = np.where(g > 0.0)[0]
     gu = g[usable]
@@ -480,7 +480,7 @@ def product_scan_oracle(prob):
         for i in range(I):
             tones = [k for k in range(K) if assign[k] == i and g[i, k] > 0.0]
             if tones:
-                p = water_fill(g[i, tones], float(b[i]))
+                p = classic_water_fill(g[i, tones], float(b[i]))
                 obj += w[i] * np.log1p(g[i, tones] * p).sum()
         if obj > best_obj:
             best_obj, best_assign = obj, assign
@@ -490,7 +490,7 @@ def product_scan_oracle(prob):
         tones = [k for k in range(K) if best_assign[k] == i and g[i, k] > 0.0]
         if tones:
             share[i, tones] = 1.0
-            power[i, tones] = water_fill(g[i, tones], float(b[i]))
+            power[i, tones] = classic_water_fill(g[i, tones], float(b[i]))
     return share, power, float(w @ np.log1p(g * power).sum(axis=1))
 
 

@@ -135,8 +135,13 @@ class TestRealizeChannels:
             ChannelRealization(cross_gain=np.ones((2, 2, 3)), noise_power_mw=noise)
 
     def test_direct_gain_overflow_rejected(self):
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="direct gains"):
-            ChannelRealization(cross_gain=np.full((2, 2, 3), 1e300), noise_power_mw=1e-300)
+        # the division once warned "overflow encountered in divide" first,
+        # two more stderr lines through the CLI
+        for cross, noise in ((np.full((2, 2, 3), 1e300), 1e-300), (np.ones((1, 1, 2)), 1e-318)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="direct gains"):
+                    ChannelRealization(cross, noise)
 
     def test_zero_gains_accepted(self):
         real = ChannelRealization(cross_gain=np.zeros((2, 2, 3)), noise_power_mw=1.0)
@@ -322,5 +327,13 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
             cfg_for(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [("num_walls", float("inf")), ("num_floors", 0.5),
+                                              ("num_walls", 1.5)])
+    def test_propagation_counts_not_integers_rejected(self, field, value):
+        # unchecked, num_walls = inf reported 0.0 bit/s and the fractions ran
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            cfg_for(**{field: value})
+
     def test_zero_propagation_terms_accepted(self):
         cfg_for(num_floors=0, shadow_sigma_db=0.0, num_walls=0, indoor_dist_m=0.0)
+        cfg_for(num_floors=np.int64(1), num_walls=np.int64(1))

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from smallcell.channel import ScenarioConfig
 from smallcell.harness import _trial_realization
 from smallcell.tssolver import (TSProblem, Allocation, dual_value, subgradient_solve,
-                                recover_primal, water_fill, default_multipliers, power_phase,
-                                LAM_FLOOR, _share_fill)
+                                recover_primal, default_multipliers, power_phase, LAM_FLOOR,
+                                _share_fill)
 from smallcell.baselines import oracle_orthogonal
 from smallcell.soa import soa_allocate
+from test_baselines import classic_water_fill
 
 
 def random_problem(rng, num_links=3, num_tones=4, gain_scale=1.0):
@@ -532,7 +533,7 @@ class TestRecoverPrimal:
         prob = TSProblem(gains=gains, weights=[1.0], budgets=[2.0])
         res = subgradient_solve(prob, max_iters=2000, tol=None)
         alloc = recover_primal(prob, res.best_multipliers)
-        direct = water_fill(gains[0], 2.0)
+        direct = classic_water_fill(gains[0], 2.0)
         assert np.allclose(alloc.power[0], direct)
         assert np.all(alloc.share[0] == 1.0)
 
@@ -594,7 +595,7 @@ class TestFromSets:
     def test_water_fill_over_the_given_order(self):
         alloc = Allocation.from_sets(self.PROB, [[3, 0, 2], []])
         want = np.zeros(4)
-        want[[3, 0, 2]] = water_fill([0.5, 2.0, 1.0], 3.0)
+        want[[3, 0, 2]] = classic_water_fill([0.5, 2.0, 1.0], 3.0)
         assert np.array_equal(alloc.power[0], want)
 
     @pytest.mark.parametrize("mode", ["equal", "waterfill"])
@@ -664,22 +665,22 @@ class TestPowerPhase:
             power_phase(np.ones((1, 2)), [[0, 1]], np.array([budget]), "waterfill")
 
 
+def fill_row(gains, budget):
+    """power_phase's water fill of one gain row over all of its tones."""
+    g = np.asarray(gains, dtype=float)
+    return power_phase(g[None], [np.arange(g.size)], np.array([budget]), "waterfill")[1][0]
+
+
 class TestWaterFill:
     def test_symmetric_split(self):
-        assert np.allclose(water_fill([1.0, 1.0], 2.0), [1.0, 1.0])
+        assert np.allclose(fill_row([1.0, 1.0], 2.0), [1.0, 1.0])
 
     def test_weak_tone_shut_off(self):
-        assert np.allclose(water_fill([1.0, 0.5], 1.0), [1.0, 0.0])
+        assert np.allclose(fill_row([1.0, 0.5], 1.0), [1.0, 0.0])
 
     def test_zero_gain_tones_excluded(self):
-        p = water_fill([1.0, 0.0, 1.0], 2.0)
+        p = fill_row([1.0, 0.0, 1.0], 2.0)
         assert p[1] == 0.0 and p.sum() == pytest.approx(2.0)
-
-    def test_no_usable_tone_raises(self):
-        with pytest.raises(ValueError):
-            water_fill([0.0, 0.0], 1.0)
-        with pytest.raises(ValueError):
-            water_fill([1.0], 0.0)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -688,7 +689,7 @@ class TestWaterFill:
         log_g = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n))
         budget = 10.0 ** data.draw(st.floats(-2.0, 2.0))
         g = np.power(10.0, np.array(log_g))
-        p = water_fill(g, budget)
+        p = fill_row(g, budget)
         assert np.all(p >= 0.0)
         assert p.sum() == pytest.approx(budget, rel=1e-12)
         active = p > 0.0
@@ -703,7 +704,7 @@ class TestWaterFill:
                                               ([1e-20], 100.0)])
     def test_weak_gains_split_the_budget(self, gains, budget):
         # budget * gain far below 1: budget + 1/g rounds to 1/g in the classic formula
-        p = water_fill(gains, budget)
+        p = fill_row(gains, budget)
         assert np.all(np.isfinite(p)) and np.all(p >= 0.0)
         assert p.sum() == pytest.approx(budget, rel=1e-12)
         strongest = np.asarray(gains) == max(gains)
@@ -711,18 +712,20 @@ class TestWaterFill:
 
     def test_subnormal_gain_next_to_a_strong_tone_stays_dry(self):
         with pytest.warns(RuntimeWarning, match="overflow"):
-            p = water_fill([1.0, 1e-320], 1.0)
+            p = fill_row([1.0, 1e-320], 1.0)
         assert np.array_equal(p, [1.0, 0.0])
 
     def test_weak_gains_keep_water_filling_levels(self):
         # 1/g differs by 10 between the tones: levels 55 and 45 + 10 above 1/g_max
         g = np.array([1e-12, 1e-12 / (1.0 + 1e-11)])
-        p = water_fill(g, 100.0)
+        p = fill_row(g, 100.0)
         floors = (g[0] / g - 1.0) / g[0]
         assert np.allclose(p, [55.0, 45.0], rtol=1e-3)
         assert np.allclose(p + floors, (p + floors)[0], rtol=1e-12)
 
     def test_normal_gains_use_the_classic_formula_exactly(self):
+        # power_phase fills the positive-gain tones into a row of their own,
+        # so the fix-up sums those alone
         rng = np.random.default_rng(4)
         rows = [rng.lognormal(0.0, 3.0, int(rng.integers(1, 20))) for _ in range(50)]
         rows += [rng.lognormal(0.0, 3.0, k) * (rng.random(k) < 0.7) for k in (1, 3, 10, 64, 256)]
@@ -738,24 +741,28 @@ class TestWaterFill:
             inv = 1.0 / g[usable][order]
             nu = (budget + np.cumsum(inv)) / np.arange(1, usable.size + 1)
             m = int(np.flatnonzero(nu > inv)[-1]) + 1
+            wet = np.zeros(usable.size)
+            wet[order[:m]] = nu[m - 1] - inv[:m]
+            wet[order[0]] += budget - wet.sum()
             expected = np.zeros_like(g)
-            expected[usable[order[:m]]] = nu[m - 1] - inv[:m]
-            expected[usable[order[0]]] += budget - expected.sum()
-            assert water_fill(g, budget).tobytes() == expected.tobytes()
+            expected[usable] = wet
+            assert fill_row(g, budget).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("budget", [np.nan, np.inf, -np.inf, -1.0])
     def test_budget_not_finite_and_positive_raises(self, budget):
         with pytest.raises(ValueError, match="budget"):
-            water_fill([1.0, 2.0], budget)
+            fill_row([1.0, 2.0], budget)
 
     @pytest.mark.parametrize("gains", [[np.nan, 1.0], [1.0, 0.0, np.nan], [np.nan]])
     def test_nan_gain_raises(self, gains):
-        with pytest.raises(ValueError, match="NaN"):
-            water_fill(gains, 1.0)
+        # a NaN gain is rejected where gains enter, before any solver fills them
+        with pytest.raises(ValueError, match="gains must be finite"):
+            TSProblem(gains=[gains], weights=[1.0], budgets=[1.0])
 
     def test_gains_not_1d_raise(self):
-        with pytest.raises(ValueError, match="1-D"):
-            water_fill(np.ones((2, 3)), 1.0)
+        # each link's gains are one 1-D row of the (I, K) matrix
+        with pytest.raises(ValueError, match="shape mismatch"):
+            TSProblem(gains=np.ones((2, 3, 1)), weights=[1.0, 1.0], budgets=[1.0, 1.0])
 
     def test_subnormal_gain_problem_solves(self):
         prob = TSProblem(gains=[[1e-320]], weights=[1.0], budgets=[1.0])
