@@ -196,10 +196,10 @@ def drop_topology(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
 def pathloss_db(cfg: ScenarioConfig, distance_m):
     """Scenario pathloss in dB at the given distance(s).
 
-    Distances below 1 m are clamped to 1 m.  Non-positive distances raise.
+    Distances below 1 m are clamped to 1 m.  Non-positive and NaN distances raise.
     """
     d = np.asarray(distance_m, dtype=float)
-    if (d <= 0.0).any():
+    if not (d > 0.0).all():
         raise ValueError("distance must be positive")
     d = np.maximum(d, MIN_DISTANCE_M)
 

@@ -13,7 +13,7 @@ optimum.
 One per-problem kernel (_dual_kernel) evaluates the dual: it is built once
 from the problem's gains and weights and maps multipliers to the dual value,
 its subgradient and the per-tone winners.  subgradient_solve calls it every
-iteration; dual_value and recover_primal call it once.
+iteration; recover_primal calls it once.
 
 One function (power_phase) splits budgets once tones are won: over a stack
 of gain rows, each row takes its tone set at full share and splits its
@@ -143,18 +143,24 @@ def power_phase(gains, sets, budgets, power_mode: str):
     Returns (share, power), both (n, K).  power_mode "equal" splits each
     budget evenly over its set, for all rows in one flat scatter;
     "waterfill" water-fills it over the set's positive-gain tones, and a
-    zero-gain tone keeps its share but gets no power; it first checks that
-    every budget is finite and positive.  Tones are water-filled in the
-    set's order, into a row of their own, since the rounding fix-up sums
-    the filled row in index order.  Each row's result is the one it gets
-    alone.  There must be one set per row, each of distinct tones in
-    [0, K); otherwise ValueError is raised before any power is split,
+    zero-gain tone keeps its share but gets no power.  Tones are
+    water-filled in the set's order, into a row of their own, since the
+    rounding fix-up sums the filled row in index order.  Each row's result
+    is the one it gets alone.  In either mode, budgets must hold one finite,
+    positive budget per row, and sets one set of distinct tones in [0, K)
+    per row; otherwise ValueError is raised before any power is split,
     naming the first bad set.  This is the package's one checked water fill.
     """
     _check_power_mode(power_mode)
     num_rows, num_tones = gains.shape
     if len(sets) != num_rows:
         raise ValueError(f"{len(sets)} tone sets for {num_rows} rows of gains")
+    budgets = np.asarray(budgets, dtype=float)
+    if budgets.shape != (num_rows,):
+        raise ValueError(f"budgets must have shape ({num_rows},), got {budgets.shape}")
+    # a few rows check as Python floats in a quarter of the numpy ufuncs' time
+    if not all(0.0 < b < math.inf for b in budgets.tolist()):
+        raise ValueError("budgets must be finite and strictly positive")
     share = np.zeros(gains.shape)
     power = np.zeros(gains.shape)
     counts = [len(tones) for tones in sets]
@@ -172,8 +178,6 @@ def power_phase(gains, sets, budgets, power_mode: str):
     if power_mode == "equal":
         power.put(flat, np.repeat(budgets / np.maximum(counts, 1), counts))
         return share, power
-    if not ((budgets > 0.0) & (budgets < np.inf)).all():
-        raise ValueError("budgets must be finite and strictly positive")
     for row, g, tones, budget in zip(power, gains, sets, budgets):
         tones = np.asarray(tones, dtype=np.intp)
         wet = tones[g[tones] > 0.0]
@@ -310,16 +314,6 @@ def _share_fill(problem: TSProblem):
         return masked * depth, float(value)
 
     return fill
-
-
-def dual_value(problem: TSProblem, lam):
-    """Dual objective at lam, floored at LAM_FLOOR.
-
-    Returns (value, subgradient, winner): the per-tone winner takes the tone
-    at full share, the subgradient is each link's unused budget (negative
-    when the multiplier is too cheap and the link over-draws).
-    """
-    return _dual_kernel(problem)(np.maximum(np.asarray(lam, dtype=float), LAM_FLOOR))[:3]
 
 
 def default_multipliers(problem: TSProblem) -> np.ndarray:
@@ -560,11 +554,16 @@ def _water_fill_rows(gains, budgets) -> np.ndarray:
 def recover_primal(problem: TSProblem, lam) -> Allocation:
     """Feasible allocation from converged multipliers.
 
-    Each tone goes wholly to its winning bidder, then every link water-fills
-    its budget over the tones it won (Allocation.from_sets).  Feasible by
-    construction; its objective lower-bounds the time-sharing optimum.
+    lam must hold one finite multiplier per link (else ValueError), each
+    floored at LAM_FLOOR.  Each tone goes wholly to its winning bidder, then
+    every link water-fills its budget over the tones it won
+    (Allocation.from_sets).  Feasible by construction; its objective
+    lower-bounds the time-sharing optimum.
     """
-    _, _, winner = dual_value(problem, lam)
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (problem.num_links,) or not np.isfinite(lam).all():
+        raise ValueError(f"lam must hold {problem.num_links} finite values, got {lam.tolist()!r}")
+    _, _, winner, _ = _dual_kernel(problem)(np.maximum(lam, LAM_FLOOR))
     return Allocation.from_sets(problem, [np.flatnonzero(winner == i)
                                           for i in range(problem.num_links)])
 

@@ -11,7 +11,6 @@ fixed below, except for the wall-clock measurements.
 
 import time
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from smallcell.tssolver import TSProblem, subgradient_solve, recover_primal, pow
 from smallcell.soa import soa_allocate
 from smallcell.baselines import oracle_orthogonal
 from smallcell.signaling import build_cdf_table, decode_levels, encode_powers
+from reference import _expected_resolution_slots
 
 
 def _report(num, label, ok, detail):
@@ -245,18 +245,6 @@ def test_water_fill_kkt_suite():
         f"{draws} draws, worst budget residual {worst_bind:.1e}, "
         f"worst level spread {worst_level:.1e}, worst inactive slack {worst_inactive:.1e}, "
         f"all need <= 1e-12")
-
-
-def _expected_resolution_slots(n, q):
-    """Mean slots until <= 1 claimant remains, each leaving i.i.d. w.p. q per slot."""
-    E = {0: 0.0, 1: 0.0}
-    for m in range(2, n + 1):
-        stay = (1 - q) ** m
-        acc = 1.0
-        for s in range(2, m):      # s survivors out of m claimants
-            acc += comb(m, s) * ((1 - q) ** s) * (q ** (m - s)) * E[s]
-        E[m] = acc / (1 - stay)
-    return E[n]
 
 
 def test_collision_recovery():

@@ -1,4 +1,3 @@
-from itertools import product
 import warnings
 
 import numpy as np
@@ -12,6 +11,8 @@ from smallcell import baselines
 from smallcell.baselines import (InterferenceAllocation, evaluate_concurrent,
                                  iwfa_solve, oracle_orthogonal,
                                  ORACLE_MAX_ASSIGNMENTS, IWFA_EPS_MW)
+from reference import (classic_water_fill, per_entry_subset_values, product_scan_oracle,
+                       reference_iwfa)
 
 
 def make_realization(cross, noise=1.0):
@@ -181,28 +182,6 @@ class TestIwfa:
         assert {(True, False), (False, True)} <= outcomes
 
 
-def classic_water_fill(gains, budget):
-    """The reference water fill of one gain row: a vectorized level search
-    over every count of wet tones, the fix-up summed over the whole row."""
-    g = np.atleast_1d(np.asarray(gains, dtype=float))
-    usable = np.where(g > 0.0)[0]
-    gu = g[usable]
-    gmax = gu.max()
-    if budget * gmax >= WATER_FILL_MIN_SNR:
-        floors = 1.0 / gu
-    else:
-        with np.errstate(over="ignore"):
-            floors = np.minimum((gmax / gu - 1.0) / gmax, budget)
-    order = np.argsort(floors, kind="stable")
-    floors_sorted = floors[order]
-    nu_candidates = (budget + np.cumsum(floors_sorted)) / np.arange(1, usable.size + 1)
-    m = int(np.where(nu_candidates > floors_sorted)[0][-1]) + 1
-    out = np.zeros(g.shape)
-    out[usable[order[:m]]] = nu_candidates[m - 1] - floors_sorted[:m]
-    out[usable[order[0]]] += budget - out.sum()
-    return out
-
-
 class TestWaterFillCore:
     """The unchecked core writes classic_water_fill's bits into a zeroed row
     of a larger array and leaves the other rows alone."""
@@ -311,24 +290,6 @@ class TestWaterFillRows:
             assert warned == any(warns[r] for r in picked)
 
 
-def per_entry_subset_values(problem):
-    """The Oracle's value table as one _water_fill_core call per (link, mask) entry."""
-    g, w, b = problem.gains, problem.weights, problem.budgets
-    I, K = g.shape
-    bits = 1 << np.arange(K)
-    positive = (g > 0.0) @ bits
-    value = np.zeros((I, 2 ** K))
-    for m in range(1, 2 ** K):
-        tones = np.flatnonzero(m & bits)
-        for i in range(I):
-            if m & positive[i] == m:
-                gt = g[i].take(tones)
-                p = np.zeros(tones.size)
-                _water_fill_core(p, gt, None, float(b[i]))
-                value[i, m] = w[i] * np.log1p(gt * p).sum()
-    return np.take_along_axis(value, np.arange(2 ** K) & positive[:, None], axis=1)
-
-
 class TestSubsetValues:
     """The Oracle's stacked table has the bytes of one core fill per entry."""
 
@@ -365,28 +326,6 @@ class TestSubsetValues:
             for field in ("share", "power", "rate"):
                 assert getattr(alloc, field).tobytes() == getattr(want, field).tobytes()
             assert objective == want_objective == alloc.objective
-
-
-def reference_iwfa(realization, budgets, max_rounds=200):
-    """IWFA with the running per-link delta and classic_water_fill, every round run:
-    (power, rounds, converged, deltas)."""
-    cross = realization.cross_gain
-    noise = realization.noise_power_mw
-    own_gain = np.einsum("iik->ik", cross)
-    power = np.vstack([classic_water_fill(own_gain[i] / noise, float(budgets[i]))
-                       for i in range(realization.num_links)])
-    deltas = []
-    for rounds in range(1, max_rounds + 1):
-        delta = 0.0
-        for i in range(realization.num_links):
-            floor = noise + np.einsum("jk,jk->k", cross[:, i, :], power) - cross[i, i, :] * power[i]
-            new_p = classic_water_fill(own_gain[i] / floor, float(budgets[i]))
-            delta = max(delta, float(np.max(np.abs(new_p - power[i]))))
-            power[i] = new_p
-        deltas.append(delta)
-        if delta < IWFA_EPS_MW:
-            return power, rounds, True, deltas
-    return power, max_rounds, False, deltas
 
 
 class TestIwfaMatchesReference:
@@ -468,30 +407,6 @@ class TestOracle:
         alloc, obj = oracle_orthogonal(prob)
         assert alloc.share[0, 1] == 0.0
         assert obj == pytest.approx(np.log(2.0))
-
-
-def product_scan_oracle(prob):
-    """Reference Oracle: water-fill every link's set for every enumerated assignment."""
-    g, w, b = prob.gains, prob.weights, prob.budgets
-    I, K = g.shape
-    best_obj, best_assign = -np.inf, None
-    for assign in product(range(-1, I), repeat=K):
-        obj = 0.0
-        for i in range(I):
-            tones = [k for k in range(K) if assign[k] == i and g[i, k] > 0.0]
-            if tones:
-                p = classic_water_fill(g[i, tones], float(b[i]))
-                obj += w[i] * np.log1p(g[i, tones] * p).sum()
-        if obj > best_obj:
-            best_obj, best_assign = obj, assign
-    share = np.zeros((I, K))
-    power = np.zeros((I, K))
-    for i in range(I):
-        tones = [k for k in range(K) if best_assign[k] == i and g[i, k] > 0.0]
-        if tones:
-            share[i, tones] = 1.0
-            power[i, tones] = classic_water_fill(g[i, tones], float(b[i]))
-    return share, power, float(w @ np.log1p(g * power).sum(axis=1))
 
 
 class TestOracleMatchesProductScan:

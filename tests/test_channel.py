@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from smallcell.channel import (ChannelRealization, ScenarioConfig, SCENARIOS, MIN_DISTANCE_M,
+from smallcell.channel import (ChannelRealization, ScenarioConfig, SCENARIOS,
                                drop_topology, pathloss_db, realize_channels, config_from_file)
+from reference import keyed_reference
 
 
 def cfg_for(scenario="urban-indoor", **kw):
@@ -48,6 +49,11 @@ class TestPathloss:
             pathloss_db(cfg_for(), 0.0)
         with pytest.raises(ValueError):
             pathloss_db(cfg_for(), -2.0)
+        # unchecked, a NaN distance gave a NaN path loss
+        with pytest.raises(ValueError):
+            pathloss_db(cfg_for(), np.nan)
+        with pytest.raises(ValueError):
+            pathloss_db(cfg_for(), np.array([5.0, np.nan]))
 
 
 class TestDropTopology:
@@ -197,19 +203,6 @@ class TestRealizeChannels:
         pos = drop_topology(cfg, np.random.default_rng(0))
         with pytest.raises(ValueError, match="seed key element must be a non-negative integer"):
             realize_channels(cfg, pos, key)
-
-
-def keyed_reference(cfg, positions, key):
-    """The cross gains of a keyed draw, pair (i, j) shadowed by its own default_rng(key + (i, j))."""
-    I, K = cfg.num_links, cfg.num_tones
-    key = (key,) if isinstance(key, int) else tuple(key)
-    shadow = np.empty((I, I, K))
-    for i in range(I):
-        for j in range(I):
-            shadow[i, j] = np.random.default_rng(key + (i, j)).normal(0.0, cfg.shadow_sigma_db, K)
-    dist = np.linalg.norm(positions[0::2, None, :] - positions[None, 1::2, :], axis=2)
-    pl = pathloss_db(cfg, np.maximum(dist, MIN_DISTANCE_M))
-    return 10.0 ** (-(pl[:, :, None] + shadow) / 10.0)
 
 
 @pytest.mark.filterwarnings("error")

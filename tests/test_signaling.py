@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from smallcell.channel import ScenarioConfig, drop_topology, realize_channels
 from smallcell.signaling import (QuantizationTable, build_cdf_table, decode_levels,
                                  encode_powers, run_signaling_slot)
+from reference import per_pair_views
 
 
 def three_level_table():
@@ -239,25 +240,6 @@ class TestSignalingSlot:
         lost[1, 2, 3] = True                  # the dead path is never heard: no check, no raise
         views = run_signaling_slot(dead, table, cfg.max_power_mw, loss_mask=lost)
         assert views[2].missing[1, 3] and views[2].gains[1, 3] == 0.0
-
-
-def per_pair_views(realization, table, p0_mw, loss_mask):
-    """Reference signaling slot: one encode_powers -> decode_levels per (sender, receiver, tone)."""
-    I, K = realization.num_links, realization.num_tones
-    views = []
-    for j in range(I):
-        gains = np.zeros((I, K))
-        missing = np.ones((I, K), dtype=bool)
-        for i in range(I):
-            for k in range(K):
-                if loss_mask[i, j, k]:
-                    continue
-                h = realization.cross_gain[i, j, k]
-                tx1, tx2 = encode_powers(realization.direct_gain[i, k], table, p0_mw)
-                gains[i, k] = decode_levels(h * tx1, h * tx2, table)
-                missing[i, k] = False
-        views.append((gains, missing))
-    return views
 
 
 class TestSignalingMatchesPerPairDecode:

@@ -4,29 +4,7 @@ import pytest
 from smallcell.tssolver import TSProblem
 from smallcell.soa import assign_channels, soa_allocate, _assign_stack
 from smallcell.baselines import oracle_orthogonal
-
-
-def marginal_rate(theta: float, budget: float, gains, acs, cta: int) -> float:
-    """Rate gained by adding tone cta to a link holding the tones in acs.
-
-    Equal power split is assumed before (budget/|acs|) and after
-    (budget/(|acs|+1)) the addition; with an empty acs the baseline is zero
-    rate.  Natural-log units.
-    """
-    g = np.asarray(gains, dtype=float)
-    held = list(acs)
-    if cta in held:
-        raise ValueError("candidate tone already assigned to this link")
-    m = len(held)
-    after = np.log1p(budget * g[held + [cta]] / (m + 1)).sum()
-    before = np.log1p(budget * g[held] / m).sum() if m else 0.0
-    return float(theta * (after - before))
-
-
-def random_problem(rng, num_links=3, num_tones=8):
-    gains = rng.lognormal(0.0, 1.0, (num_links, num_tones))
-    return TSProblem(gains=gains, weights=np.ones(num_links),
-                     budgets=np.full(num_links, 2.0))
+from reference import marginal_rate, one_problem_greedy, random_problem, reference_greedy
 
 
 class TestMarginalRate:
@@ -77,7 +55,7 @@ class TestAssignChannels:
             assert all(0 <= k < 12 for k in flat)
 
     def test_deterministic(self):
-        prob = random_problem(np.random.default_rng(1))
+        prob = random_problem(np.random.default_rng(1), num_links=3, num_tones=8)
         assert assign_channels(prob) == assign_channels(prob)
 
     def test_every_accepted_tone_improved_its_link(self):
@@ -102,30 +80,6 @@ class TestAssignChannels:
         assert sorted(sets[1]) == [1, 2, 3]
 
 
-def reference_greedy(problem):
-    """The greedy loop as the soa docstring states it, built on marginal_rate.
-
-    Each link nominates its best untaken tone (largest gain, lowest index on
-    ties); the largest strictly positive bid wins, lowest link on ties.
-    """
-    g, w, b = problem.gains, problem.weights, problem.budgets
-    I, K = g.shape
-    held = [[] for _ in range(I)]
-    free = list(range(K))
-    while free:
-        best, winner = 0.0, None
-        for i in range(I):
-            tone = max(free, key=lambda k: (g[i, k], -k))
-            bid = marginal_rate(w[i], b[i], g[i], held[i], tone)
-            if bid > best:
-                best, winner = bid, (i, tone)
-        if winner is None:
-            break
-        held[winner[0]].append(winner[1])
-        free.remove(winner[1])
-    return held
-
-
 class TestGreedyReference:
     @pytest.mark.parametrize("num_links,num_tones", [(1, 1), (1, 12), (3, 8), (5, 5),
                                                      (8, 3), (16, 64)])
@@ -136,34 +90,6 @@ class TestGreedyReference:
                              weights=rng.uniform(0.5, 2.0, num_links),
                              budgets=rng.uniform(0.1, 10.0, num_links))
             assert assign_channels(prob) == reference_greedy(prob)
-
-
-def one_problem_greedy(problem):
-    """The greedy loop for one problem, with the running sums and float ops of soa's loop.
-
-    One link wins per step; its shifted sum is a 1-D .sum() over its held
-    tones in greedy order.
-    """
-    g, w, p0 = problem.gains, problem.weights, problem.budgets
-    I, K = g.shape
-    free = g.copy()
-    links = np.arange(I)
-    assigned = [[] for _ in range(I)]
-    base, shifted, counts = np.zeros(I), np.zeros(I), np.zeros(I, dtype=int)
-    for _ in range(K):
-        nominee = np.argmax(free, axis=1)
-        bid = np.log1p(p0 * free[links, nominee] / (counts + 1))
-        margin = w * (shifted + bid - base)
-        i = int(np.argmax(margin))
-        if not margin[i] > 0.0:
-            break
-        k = int(nominee[i])
-        free[:, k] = -1.0
-        assigned[i].append(k)
-        counts[i] += 1
-        base[i] = shifted[i] + bid[i]
-        shifted[i] = np.log1p(p0[i] * g[i, assigned[i]] / (counts[i] + 1)).sum()
-    return assigned
 
 
 def stack_matches_each_problem(gains, weights, budgets):
@@ -235,7 +161,7 @@ class TestSoaAllocate:
     def test_waterfill_beats_equal(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            prob = random_problem(rng)
+            prob = random_problem(rng, num_links=3, num_tones=8)
             eq = soa_allocate(prob, power_mode="equal")
             wf = soa_allocate(prob, power_mode="waterfill")
             assert np.array_equal(eq.share, wf.share)  # same assignment
@@ -250,13 +176,13 @@ class TestSoaAllocate:
             assert soa_allocate(prob, "waterfill").objective <= best + 1e-9
 
     def test_share_matches_power_support(self):
-        prob = random_problem(np.random.default_rng(5))
+        prob = random_problem(np.random.default_rng(5), num_links=3, num_tones=8)
         alloc = soa_allocate(prob, "equal")
         assert np.all(alloc.share.sum(axis=0) <= 1.0)
         assert np.all((alloc.power > 0) <= (alloc.share == 1.0))
 
     def test_unknown_power_mode(self):
-        prob = random_problem(np.random.default_rng(6))
+        prob = random_problem(np.random.default_rng(6), num_links=3, num_tones=8)
         with pytest.raises(ValueError):
             soa_allocate(prob, power_mode="peak")
 

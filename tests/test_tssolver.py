@@ -1,4 +1,3 @@
-import math
 import re
 import warnings
 
@@ -8,32 +7,30 @@ from hypothesis import given, settings, strategies as st
 
 from smallcell.channel import ScenarioConfig
 from smallcell.harness import _trial_realization
-from smallcell.tssolver import (TSProblem, Allocation, dual_value, subgradient_solve,
-                                recover_primal, default_multipliers, power_phase, LAM_FLOOR,
+from smallcell.tssolver import (TSProblem, Allocation, subgradient_solve, recover_primal,
+                                default_multipliers, power_phase, LAM_FLOOR, _dual_kernel,
                                 _share_fill)
 from smallcell.baselines import oracle_orthogonal
 from smallcell.soa import soa_allocate
-from test_baselines import classic_water_fill
-
-
-def random_problem(rng, num_links=3, num_tones=4, gain_scale=1.0):
-    gains = gain_scale * rng.lognormal(0.0, 1.0, (num_links, num_tones))
-    return TSProblem(gains=gains, weights=np.ones(num_links),
-                     budgets=np.full(num_links, 2.0))
+from reference import (classic_water_fill, random_problem, _reference_dual, _reference_shares,
+                       _reference_solve, _reference_stop, _reference_ts_value)
 
 
 def bid(theta, g, lam, budget=1.0):
-    """One link's dual bid for one tone: the 1x1 dual value less the priced budget.
+    """One link's dual bid for one tone: the 1x1 kernel's value less the priced budget.
 
-    dual_value floors lam at LAM_FLOOR, so the price is taken at the floored lam.
+    The kernel is read at lam floored at LAM_FLOOR, and so is the price.
     """
-    value, _, _ = dual_value(TSProblem(gains=[[g]], weights=[theta], budgets=[budget]), [lam])
-    return value - max(lam, LAM_FLOOR) * budget
+    lam = max(lam, LAM_FLOOR)
+    value, _, _, _ = _dual_kernel(TSProblem(gains=[[g]], weights=[theta], budgets=[budget]))(
+        np.array([lam]))
+    return value - lam * budget
 
 
 def density(g, lam):
     """Power density a unit-weight link draws from one tone: budget 1 less the 1x1 subgradient."""
-    _, subgrad, _ = dual_value(TSProblem(gains=[[g]], weights=[1.0], budgets=[1.0]), [lam])
+    _, subgrad, _, _ = _dual_kernel(TSProblem(gains=[[g]], weights=[1.0], budgets=[1.0]))(
+        np.array([max(lam, LAM_FLOOR)]))
     return 1.0 - subgrad[0]
 
 
@@ -77,17 +74,18 @@ class TestPowerDensity:
 
 class TestDualValue:
     def test_saturated_multipliers(self):
-        prob = random_problem(np.random.default_rng(0))
+        prob = random_problem(np.random.default_rng(0), num_links=3, num_tones=4)
         lam = np.full(3, 1e9)
-        value, subgrad, _ = dual_value(prob, lam)
+        value, subgrad, _, _ = _dual_kernel(prob)(lam)
         assert value == pytest.approx(float(lam @ prob.budgets))
         assert np.allclose(subgrad, prob.budgets)
 
     def test_midpoint_convexity_on_grid(self):
         prob = TSProblem(gains=[[1.0]], weights=[1.0], budgets=[1.0])
+        dual = _dual_kernel(prob)
         grid = np.linspace(0.05, 2.0, 80)
-        vals = np.array([dual_value(prob, [x])[0] for x in grid])
-        mid = np.array([dual_value(prob, [(a + b) / 2])[0]
+        vals = np.array([dual(np.array([x]))[0] for x in grid])
+        mid = np.array([dual(np.array([(a + b) / 2]))[0]
                         for a, b in zip(grid[:-2], grid[2:])])
         assert np.all(mid <= (vals[:-2] + vals[2:]) / 2 + 1e-12)
 
@@ -98,7 +96,7 @@ class TestDualValue:
             _, best_primal = oracle_orthogonal(prob)
             for _ in range(10):
                 lam = rng.uniform(0.01, 2.0, 2)
-                value, _, _ = dual_value(prob, lam)
+                value, _, _, _ = _dual_kernel(prob)(lam)
                 assert value >= best_primal - 1e-9
 
 
@@ -113,7 +111,7 @@ class TestSubgradientSolve:
         assert alloc.objective == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_best_trace_non_increasing(self):
-        prob = random_problem(np.random.default_rng(2))
+        prob = random_problem(np.random.default_rng(2), num_links=3, num_tones=4)
         res = subgradient_solve(prob, max_iters=500, tol=None)
         assert np.all(np.diff(res.best_trace) <= 0.0)
         assert res.iterations == 500 and not res.converged
@@ -128,7 +126,7 @@ class TestSubgradientSolve:
         assert res.best_dual - np.log(2.0) <= 1e-6 * res.best_dual + 1e-15
 
     def test_no_check_reports_infinite_gap(self):
-        prob = random_problem(np.random.default_rng(2))
+        prob = random_problem(np.random.default_rng(2), num_links=3, num_tones=4)
         for max_iters, tol in ((500, None), (9, 1e-4)):
             res = subgradient_solve(prob, max_iters=max_iters, tol=tol)
             assert res.iterations == max_iters and not res.converged and res.gap == np.inf
@@ -228,7 +226,7 @@ class TestSubgradientSolve:
             assert res.best_dual - cp.value <= 1e-3
 
     def test_best_iterate_invariants(self):
-        prob = random_problem(np.random.default_rng(4))
+        prob = random_problem(np.random.default_rng(4), num_links=3, num_tones=4)
         res = subgradient_solve(prob, max_iters=200, tol=None)
         lam = res.best_multipliers
         assert np.all(lam >= LAM_FLOOR)
@@ -238,14 +236,14 @@ class TestSubgradientSolve:
         assert np.all(scores >= 0.0)
         inactive = prob.weights[:, None] * prob.gains <= lam[:, None]
         assert np.all(scores[inactive] == 0.0)
-        assert dual_value(prob, lam)[0] == res.best_dual
+        assert _dual_kernel(prob)(lam)[0] == res.best_dual
 
     def test_winner_invariant_to_common_weight_scaling(self):
-        prob = random_problem(np.random.default_rng(5))
+        prob = random_problem(np.random.default_rng(5), num_links=3, num_tones=4)
         lam = default_multipliers(prob)
-        _, _, winner = dual_value(prob, lam)
+        _, _, winner, _ = _dual_kernel(prob)(lam)
         scaled = TSProblem(gains=prob.gains, weights=7.5 * prob.weights, budgets=prob.budgets)
-        _, _, winner_scaled = dual_value(scaled, 7.5 * lam)
+        _, _, winner_scaled, _ = _dual_kernel(scaled)(7.5 * lam)
         assert np.array_equal(winner, winner_scaled)
 
     @pytest.mark.parametrize("gains, weight, budget, overflow", [
@@ -271,7 +269,7 @@ class TestSubgradientSolve:
         prob = TSProblem(gains=[[1.0, 2.0]], weights=[1e-20], budgets=[1.0])
         res = subgradient_solve(prob)
         assert np.array_equal(res.best_multipliers, [LAM_FLOOR])
-        assert dual_value(prob, res.best_multipliers)[0] == res.best_dual
+        assert _dual_kernel(prob)(res.best_multipliers)[0] == res.best_dual
         assert res.best_dual >= recover_primal(prob, res.best_multipliers).objective
 
     @pytest.mark.parametrize("gains, weights", [([[1.0, 2.0]], [1e-20]),
@@ -287,7 +285,7 @@ class TestSubgradientSolve:
         assert res.best_dual <= LAM_FLOOR * prob.budgets.sum() * (1 + 1e-12)
 
     def test_bad_arguments(self):
-        prob = random_problem(np.random.default_rng(7))
+        prob = random_problem(np.random.default_rng(7), num_links=3, num_tones=4)
         with pytest.raises(ValueError):
             subgradient_solve(prob, max_iters=0)
 
@@ -295,114 +293,19 @@ class TestSubgradientSolve:
     def test_max_iters_not_a_count_rejected(self, max_iters):
         # unchecked, a float failed with a TypeError from range
         with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
-            subgradient_solve(random_problem(np.random.default_rng(7)), max_iters=max_iters)
+            subgradient_solve(random_problem(np.random.default_rng(7), num_links=3, num_tones=4),
+                              max_iters=max_iters)
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, -np.inf])
     def test_tol_not_finite_and_non_negative_rejected(self, tol):
         # unchecked, a NaN or negative tol silently never stopped early
         with pytest.raises(ValueError, match="tol must be None, or finite and >= 0"):
-            subgradient_solve(random_problem(np.random.default_rng(7)), max_iters=500, tol=tol)
+            subgradient_solve(random_problem(np.random.default_rng(7), num_links=3, num_tones=4),
+                              max_iters=500, tol=tol)
 
     def test_counts_of_numpy_integer_type_accepted(self):
-        prob = random_problem(np.random.default_rng(7))
+        prob = random_problem(np.random.default_rng(7), num_links=3, num_tones=4)
         assert subgradient_solve(prob, max_iters=np.int64(5), tol=0).iterations == 5
-
-
-def _reference_bid(theta, g, lam):
-    """Bid xi and power density d at floored lam, over every entry (the earlier kernel)."""
-    tg = theta * g
-    active = tg > lam
-    g_safe = np.where(g > 0, g, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(active, tg / lam, 1.0)
-        xi = np.where(active, theta * (np.log(ratio) - 1.0) + lam / g_safe, 0.0)
-        d = np.where(active, (ratio - 1.0) / g_safe, 0.0)
-    return xi, d
-
-
-def _reference_dual(problem, lam):
-    lam_e = np.maximum(lam, LAM_FLOOR)
-    xi, dens = _reference_bid(problem.weights[:, None], problem.gains, lam_e[:, None])
-    winner = np.argmax(xi, axis=0)
-    cols = np.arange(xi.shape[1])
-    value = float(xi[winner, cols].sum() + lam_e @ problem.budgets)
-    drawn = np.bincount(winner, weights=dens[winner, cols], minlength=xi.shape[0])
-    return value, problem.budgets - drawn, winner
-
-
-def _reference_solve(problem, max_iters):
-    """The subgradient loop as first written, run for all max_iters iterations.
-
-    Clip, a floor on every evaluation, array traces; it has no stop rule, so
-    a shorter run is a prefix of a longer one.  Also keeps each iteration's
-    winners.
-    """
-    a, b = 1.0, 10.0
-    lam_max = problem.num_tones * problem.weights / problem.budgets
-    lam = np.clip(default_multipliers(problem), LAM_FLOOR, lam_max)
-    scale = lam / problem.budgets
-    radius2 = float(np.sum(np.maximum(lam, lam_max - lam) ** 2 / scale))
-    best_tr = np.empty(max_iters)
-    bound_tr = np.empty(max_iters)
-    winners = []
-    best, best_lam = np.inf, lam.copy()
-    gmax2 = sum_a = sum_a2 = 0.0
-    for t in range(1, max_iters + 1):
-        value, subgrad, winner = _reference_dual(problem, lam)
-        if value < best:
-            best, best_lam = value, lam.copy()
-        alpha = a / (b + t)
-        sum_a += alpha
-        sum_a2 += alpha * alpha
-        gmax2 = max(gmax2, float(np.sum(scale * subgrad ** 2)))
-        best_tr[t - 1] = best
-        bound_tr[t - 1] = (radius2 + gmax2 * sum_a2) / sum_a
-        winners.append(winner)
-        lam = np.clip(lam - alpha * scale * subgrad, LAM_FLOOR, lam_max)
-    return dict(best_dual=best, best_multipliers=best_lam, best_trace=best_tr,
-                bound_trace=bound_tr, winners=np.array(winners))
-
-
-def _reference_shares(problem, winners, t):
-    """Time-sharing shares after t iterations: each link's fraction of the
-    tones it won over iterations t//2 + 1 .. t."""
-    window = winners[t // 2:t]
-    return np.array([(window == i).mean(axis=0) for i in range(problem.num_links)])
-
-
-def _reference_ts_value(problem, share):
-    """Weighted sum rate of the share-weighted water fill, link by link.
-
-    Link i puts p = T (nu - 1/g) on its wet entries, with nu found by
-    dropping the weakest floor until every kept floor lies under the level.
-    """
-    total = 0.0
-    for gains, shares, weight, budget in zip(problem.gains, share, problem.weights,
-                                             problem.budgets):
-        with np.errstate(divide="ignore", over="ignore"):
-            floors = 1.0 / gains
-        kept = sorted((f, s, g) for f, s, g in zip(floors, shares, gains)
-                      if s > 0.0 and np.isfinite(f))
-        while kept:
-            level = (budget + sum(s * f for f, s, _ in kept)) / sum(s for _, s, _ in kept)
-            if level > kept[-1][0]:
-                break
-            kept.pop()
-        total += weight * sum(s * math.log(g * level) for _, s, g in kept)
-    return total
-
-
-def _reference_stop(problem, ref, tol):
-    """First multiple of 10 at which the reference run's gap is within tol
-    times the best dual value plus LAM_FLOOR * sum(budgets), with its
-    relative gap; (None, None) if no check certifies."""
-    slack = LAM_FLOOR * problem.budgets.sum()
-    for t in range(10, len(ref["best_trace"]) + 1, 10):
-        best = ref["best_trace"][t - 1]
-        value = _reference_ts_value(problem, _reference_shares(problem, ref["winners"], t))
-        if abs(best - value) <= tol * max(abs(best), 1e-30) + slack:
-            return t, (best - value) / max(abs(best), 1e-30)
-    return None, None
 
 
 def _sandwich_pool():
@@ -512,14 +415,14 @@ class TestSubgradientMatchesReference:
             assert alloc.power.tobytes() == ref.power.tobytes()
 
     @pytest.mark.parametrize("group", list(REFERENCE_CASES))
-    def test_dual_value_bit_identical_at_random_multipliers(self, group):
+    def test_dual_kernel_bit_identical_at_random_multipliers(self, group):
         rng = np.random.default_rng(13)
         for prob, _, _ in REFERENCE_CASES[group]():
             for _ in range(5):
                 # log-uniform over [1e-16, 1e4]: below LAM_FLOOR, around it and far above
                 lam = 10.0 ** rng.uniform(-16.0, 4.0, prob.num_links)
                 with np.errstate(over="ignore"):
-                    value, subgrad, winner = dual_value(prob, lam)
+                    value, subgrad, winner, _ = _dual_kernel(prob)(np.maximum(lam, LAM_FLOOR))
                     ref_value, ref_subgrad, ref_winner = _reference_dual(prob, lam)
                 assert value == ref_value
                 assert subgrad.tobytes() == ref_subgrad.tobytes()
@@ -540,7 +443,7 @@ class TestRecoverPrimal:
     def test_recovered_never_beats_dual(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
-            prob = random_problem(rng)
+            prob = random_problem(rng, num_links=3, num_tones=4)
             res = subgradient_solve(prob, max_iters=2000, tol=None)
             alloc = recover_primal(prob, res.best_multipliers)
             assert alloc.objective <= res.best_dual + 1e-9
@@ -567,11 +470,29 @@ class TestRecoverPrimal:
             assert alloc.objective >= 0.97 * best
 
     def test_feasibility(self):
-        prob = random_problem(np.random.default_rng(11))
+        prob = random_problem(np.random.default_rng(11), num_links=3, num_tones=4)
         alloc = recover_primal(prob, default_multipliers(prob))
         assert np.all(alloc.share.sum(axis=0) <= 1.0 + 1e-12)
         assert np.all(alloc.power.sum(axis=1) <= prob.budgets + 1e-9)
         assert np.all(alloc.power[alloc.share == 0.0] == 0.0)
+
+    @pytest.mark.parametrize("lam", [[0.1, 0.2, 0.3], [0.1], 0.1, [[0.1, 0.2]],
+                                     [np.nan, 0.1], [np.inf, 0.1]],
+                             ids=["three", "one", "scalar", "row", "nan", "inf"])
+    def test_rejects_multipliers_not_one_finite_value_per_link(self, lam):
+        # unchecked, the first four failed with an error from numpy or from
+        # indexing, and a NaN or infinite multiplier gave an allocation
+        prob = random_problem(np.random.default_rng(11), num_links=2, num_tones=3)
+        with pytest.raises(ValueError, match="lam must hold 2 finite values"):
+            recover_primal(prob, lam)
+
+    def test_multipliers_below_the_floor_are_read_at_the_floor(self):
+        prob = random_problem(np.random.default_rng(11), num_links=2, num_tones=3)
+        want = recover_primal(prob, [LAM_FLOOR, LAM_FLOOR])
+        for lam in ([0.0, -1.0], np.array([-np.finfo(float).max, 1e-300])):
+            got = recover_primal(prob, lam)
+            assert got.share.tobytes() == want.share.tobytes()
+            assert got.power.tobytes() == want.power.tobytes()
 
 
 class TestFromSets:
@@ -659,10 +580,21 @@ class TestPowerPhase:
         with pytest.raises(ValueError, match=message):
             power_phase(np.ones((2, 3)), sets, np.full(2, 10.0), mode)
 
+    @pytest.mark.parametrize("mode", ["equal", "waterfill"])
     @pytest.mark.parametrize("budget", [0.0, -1.0, np.nan, np.inf])
-    def test_waterfill_rejects_a_budget_that_is_not_finite_and_positive(self, budget):
+    def test_rejects_a_budget_that_is_not_finite_and_positive(self, budget, mode):
+        # unchecked, "equal" wrote the budget itself, or NaN, as power
         with pytest.raises(ValueError, match="budgets must be finite"):
-            power_phase(np.ones((1, 2)), [[0, 1]], np.array([budget]), "waterfill")
+            power_phase(np.ones((1, 2)), [[0, 1]], np.array([budget]), mode)
+
+    @pytest.mark.parametrize("mode", ["equal", "waterfill"])
+    @pytest.mark.parametrize("budgets", [np.ones(1), np.ones(3), np.ones((2, 1)), 2.0],
+                             ids=["one", "three", "column", "scalar"])
+    def test_rejects_budgets_not_one_per_row(self, budgets, mode):
+        # unchecked, one budget was spread over both rows in "equal" and left
+        # row 1 unpowered in "waterfill", and a third budget was ignored
+        with pytest.raises(ValueError, match=r"budgets must have shape \(2,\)"):
+            power_phase(np.ones((2, 3)), [[0], [1, 2]], budgets, mode)
 
 
 def fill_row(gains, budget):
