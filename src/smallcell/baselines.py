@@ -20,7 +20,8 @@ import math
 import numpy as np
 
 from .channel import _diagonal_rows
-from .tssolver import TSProblem, Allocation, _check_count, _water_fill_core, _water_fill_rows
+from .tssolver import (TSProblem, Allocation, _check_budgets, _check_count, _water_fill_core,
+                       _water_fill_rows)
 
 ORACLE_MAX_ASSIGNMENTS = 10 ** 6
 # (link, subset) rows the Oracle's subset table water-fills per stacked call
@@ -91,14 +92,9 @@ def iwfa_solve(realization, budgets, max_rounds: int = 200) -> InterferenceAlloc
     numpy 2.4, one core of a 2-vCPU x86-64 host.
     """
     max_rounds = _check_count("max_rounds", max_rounds)
-    budgets = np.asarray(budgets, dtype=float)
     cross = realization.cross_gain
     I = realization.num_links
-    if budgets.shape != (I,):
-        raise ValueError(f"budgets must have shape ({I},), one per link, got {budgets.shape}")
-    if not np.all((budgets > 0.0) & (budgets < np.inf)):
-        raise ValueError("budgets must be finite and strictly positive")
-    noise = realization.noise_power_mw
+    budgets = _check_budgets(budgets, I)
     # per link: the gains from every transmitter into its receiver, its own
     # direct gains, its budget and its positive-gain tones (None when all are)
     links = []
@@ -111,13 +107,13 @@ def iwfa_solve(realization, budgets, max_rounds: int = 200) -> InterferenceAlloc
 
     # a best response water-fills direct / floor over the positive-gain tones
     # straight into the link's zeroed power row; with non-negative gains the
-    # floor is never negative, so those tones' gains stay positive
+    # floor is never negative, so those tones' gains stay positive.  The
+    # first fill is against the noise alone, over the realization's direct gains.
     power = np.zeros((I, cross.shape[2]))
-    for row, (_, direct, budget, usable) in zip(power, links):
-        gains = direct / noise
+    for row, gains, (_, _, budget, usable) in zip(power, realization.direct_gain, links):
         _water_fill_core(row, gains if usable is None else gains[usable], usable, budget)
 
-    noise_k = np.full(power.shape[1], noise)
+    noise_k = np.full(power.shape[1], realization.noise_power_mw)
     deltas = []
     history = []    # history[n]: the powers after n rounds
     seen = {}       # their bytes -> n

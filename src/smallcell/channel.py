@@ -8,14 +8,22 @@ between link endpoints:
   suburban-indoor   single-slope law, no wall terms
   suburban-outdoor  dual-slope law, outer wall only
 
+Gains come from one formula, _path_gains: the tx-rx lengths clamped at
+MIN_DISTANCE_M, the scenario pathloss, the shadowing and the dB-to-linear
+step under one overflow guard.  realize_channels draws the cross-gain tensor
+of a topology with it, and scenario_gain_samples the direct-gain samples
+behind the signaling codebook; a gain past the float range is inf and is
+rejected in one line, by ChannelRealization or build_cdf_table.
+
 Unit conventions used throughout the package: linear powers are mW, distances
 are meters, gains are linear power ratios.  Normalized direct gains divide the
 raw channel gain by the noise power over one tone, so gain (1/mW) times
 transmit power (mW) is a plain per-tone SNR.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 import math
+import sys
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
@@ -28,6 +36,7 @@ _DUAL_SLOPE = ("urban-outdoor", "suburban-outdoor")
 _INNER_WALL = ("urban-indoor", "urban-outdoor")
 
 MIN_DISTANCE_M = 1.0  # clamp below this to dodge near-field blowup on coincident drops
+GAIN_SAMPLES = 2048   # scenario gain samples behind the signaling codebook
 
 
 @dataclass(frozen=True)
@@ -63,13 +72,16 @@ class ScenarioConfig:
         for name in ("num_floors", "num_walls", "indoor_dist_m", "shadow_sigma_db"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
-        for f in fields(self):
-            if f.type is float and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         check_seed("rng_seed", self.rng_seed)
         for f in fields(self):
-            if f.type is int and not isinstance(getattr(self, f.name), (int, np.integer)):
-                raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if f.type is int and not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            # pathloss_db scales a dB term by these counts as floats
+            if f.name in ("num_floors", "num_walls") and value > sys.float_info.max:
+                raise ValueError(f"{f.name} must be at most {sys.float_info.max!r}, the largest float")
         for derived, settings in (("noise_power_mw", "noise_density_dbm_hz and tone_bandwidth_hz"),
                                   ("max_power_mw", "max_power_dbm")):
             try:
@@ -237,21 +249,40 @@ def realize_channels(cfg: ScenarioConfig, positions: np.ndarray, key) -> Channel
     positions = np.asarray(positions, dtype=float)
     if positions.shape != (2 * I, 2):
         raise ValueError(f"positions must have shape ({2 * I}, 2) for {I} links, got {positions.shape}")
-    tx = positions[0::2]
-    rx = positions[1::2]
-    dist = _distances(tx[:, None, :] - rx[None, :, :])
-    pl = pathloss_db(cfg, np.maximum(dist, MIN_DISTANCE_M))
-
     key = key if isinstance(key, tuple) else (key,)
     shadow = np.empty((I * I, K))
     for row, words in zip(shadow, _pair_seed_words(key, I)):
         sub = np.random.Generator(np.random.PCG64(_SeedWords(words)))
         row[:] = sub.normal(0.0, cfg.shadow_sigma_db, size=K)
-    shadow = shadow.reshape(I, I, K)
-
-    with np.errstate(over="ignore"):  # ChannelRealization rejects an inf gain
-        cross = 10.0 ** (-(pl[:, :, None] + shadow) / 10.0)
+    cross = _path_gains(cfg, positions[0::2, None, :], positions[None, 1::2, :], shadow.reshape(I, I, K))
     return ChannelRealization(cross_gain=cross, noise_power_mw=cfg.noise_power_mw)
+
+
+def scenario_gain_samples(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw GAIN_SAMPLES direct-gain samples from the scenario distribution.
+
+    Used to build the shared quantization codebook: fresh endpoint pairs and
+    shadowing draws, independent of any particular realization.  A sample
+    past the float range is inf, and build_cdf_table rejects it.
+    """
+    pos = drop_topology(replace(cfg, num_links=GAIN_SAMPLES), rng)
+    shadow = rng.normal(0.0, cfg.shadow_sigma_db, size=GAIN_SAMPLES)
+    return _path_gains(cfg, pos[0::2], pos[1::2], shadow[:, None], cfg.noise_power_mw)[:, 0]
+
+
+def _path_gains(cfg: ScenarioConfig, tx, rx, shadow, noise_mw=None):
+    """Linear gains 10 ** (-(pathloss + shadow) / 10) of the links from tx to
+    rx (positions on the last axis, broadcast against each other), with each
+    link's shadowing draws in dB on shadow's last axis; divided by noise_mw
+    when it is given.  Lengths are clamped at MIN_DISTANCE_M, since
+    realize_channels takes positions from outside and a coincident pair must
+    not raise.  A gain past the float range is inf, which the caller rejects
+    in one line, without numpy's overflow warning.
+    """
+    pl = pathloss_db(cfg, np.maximum(_distances(tx - rx), MIN_DISTANCE_M))
+    with np.errstate(over="ignore"):
+        gains = 10.0 ** (-(pl[..., None] + shadow) / 10.0)
+        return gains if noise_mw is None else gains / noise_mw
 
 
 # Keyed substreams.  default_rng(seed) seeds PCG64 with the four uint64 words

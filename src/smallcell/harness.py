@@ -4,7 +4,8 @@ Two entry points: run_experiment solves independently drawn instances with a
 selection of algorithms and times each solve; run_distributed_slots plays
 the slotted protocol where links first exchange gains over the signaling
 channel, then each schedules itself from its own (possibly inconsistent)
-view, collides, and backs off probabilistically.
+view, collides, and backs off probabilistically.  Its quantization codebook
+is built from channel.scenario_gain_samples.
 
 Seed discipline: a run's master seed is cfg.rng_seed, and trial t draws all
 of its randomness from substreams keyed by (cfg.rng_seed, t, stage), so
@@ -18,13 +19,12 @@ iwfa_solve's rate, evaluate_concurrent of its powers), and each record's
 objective is their weighted sum, not an objective copied from the solver.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import csv
 import time
 import numpy as np
 
-from .channel import (ScenarioConfig, MIN_DISTANCE_M, _distances, drop_topology, realize_channels,
-                      pathloss_db)
+from .channel import ScenarioConfig, drop_topology, realize_channels, scenario_gain_samples
 from .signaling import build_cdf_table, run_signaling_slot
 from .tssolver import (TSProblem, Allocation, power_phase, subgradient_solve, recover_primal,
                        _check_count, _check_power_mode)
@@ -32,7 +32,6 @@ from .soa import soa_allocate, _assign_stack
 from .baselines import OracleTooLarge, iwfa_solve, oracle_orthogonal, evaluate_concurrent
 
 SUBGRADIENT_ITERS = 2000    # TS-Subgradient's iteration cap in run_experiment
-GAIN_SAMPLES = 2048         # scenario gain samples behind the signaling codebook
 CSV_COLUMNS = ("trial_id", "scenario", "num_links", "num_tones", "algorithm",
                "objective_bps", "runtime_us", "iterations", "collisions", "seed")
 
@@ -162,19 +161,6 @@ def run_experiment(cfg: ScenarioConfig, algorithms=("SOA", "IWFA"), trials: int 
                 skipped=skipped,
             ))
     return records
-
-
-def scenario_gain_samples(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
-    """Draw GAIN_SAMPLES direct-gain samples from the scenario distribution.
-
-    Used to build the shared quantization codebook: fresh endpoint pairs and
-    shadowing draws, independent of any particular realization.  Link
-    lengths come from channel._distances, the bits of np.linalg.norm.
-    """
-    pos = drop_topology(replace(cfg, num_links=GAIN_SAMPLES), rng)
-    dist = np.maximum(_distances(pos[0::2] - pos[1::2]), MIN_DISTANCE_M)
-    pl = pathloss_db(cfg, dist) + rng.normal(0.0, cfg.shadow_sigma_db, size=GAIN_SAMPLES)
-    return 10.0 ** (-pl / 10.0) / cfg.noise_power_mw
 
 
 def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0.0,

@@ -75,6 +75,18 @@ def _check_power_mode(power_mode: str) -> None:
         raise ValueError(f"unknown power_mode {power_mode!r}, expected one of {POWER_MODES}")
 
 
+def _check_budgets(budgets, n: int) -> np.ndarray:
+    """Return budgets as a float array; raise ValueError unless it holds one
+    finite, positive budget per row of n."""
+    budgets = np.asarray(budgets, dtype=float)
+    if budgets.shape != (n,):
+        raise ValueError(f"budgets must have shape ({n},), got {budgets.shape}")
+    # a few rows check as Python floats in a quarter of the numpy ufuncs' time
+    if not all(0.0 < b < math.inf for b in budgets.tolist()):
+        raise ValueError("budgets must be finite and strictly positive")
+    return budgets
+
+
 @dataclass(frozen=True)
 class TSProblem:
     """Gains, weights and budgets of one scheduling instance.
@@ -101,8 +113,9 @@ class TSProblem:
             raise ValueError(f"gains must have at least one link and one tone, got shape {g.shape}")
         if not np.isfinite(g).all() or (g < 0.0).any():
             raise ValueError("gains must be finite and non-negative")
-        if not (((w > 0.0) & (w < np.inf)).all() and ((b > 0.0) & (b < np.inf)).all()):
-            raise ValueError("weights and budgets must be finite and strictly positive")
+        if not ((w > 0.0) & (w < np.inf)).all():
+            raise ValueError("weights must be finite and strictly positive")
+        _check_budgets(b, g.shape[0])
 
     @property
     def num_links(self) -> int:
@@ -155,12 +168,7 @@ def power_phase(gains, sets, budgets, power_mode: str):
     num_rows, num_tones = gains.shape
     if len(sets) != num_rows:
         raise ValueError(f"{len(sets)} tone sets for {num_rows} rows of gains")
-    budgets = np.asarray(budgets, dtype=float)
-    if budgets.shape != (num_rows,):
-        raise ValueError(f"budgets must have shape ({num_rows},), got {budgets.shape}")
-    # a few rows check as Python floats in a quarter of the numpy ufuncs' time
-    if not all(0.0 < b < math.inf for b in budgets.tolist()):
-        raise ValueError("budgets must be finite and strictly positive")
+    budgets = _check_budgets(budgets, num_rows)
     share = np.zeros(gains.shape)
     power = np.zeros(gains.shape)
     counts = [len(tones) for tones in sets]

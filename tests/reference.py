@@ -12,6 +12,7 @@ test module.  There are two kinds:
   rewrite stays pinned to it byte for byte.  Each names the PR that froze it.
 """
 
+from dataclasses import replace
 from itertools import product
 import math
 from math import comb
@@ -19,7 +20,7 @@ from math import comb
 import numpy as np
 
 from smallcell.baselines import IWFA_EPS_MW
-from smallcell.channel import MIN_DISTANCE_M, pathloss_db
+from smallcell.channel import GAIN_SAMPLES, MIN_DISTANCE_M, _distances, drop_topology, pathloss_db
 from smallcell.signaling import decode_levels, encode_powers
 from smallcell.tssolver import (LAM_FLOOR, WATER_FILL_MIN_SNR, TSProblem, _water_fill_core,
                                 default_multipliers)
@@ -193,6 +194,16 @@ def one_problem_greedy(problem):
         base[i] = shifted[i] + bid[i]
         shifted[i] = np.log1p(p0[i] * g[i, assigned[i]] / (counts[i] + 1)).sum()
     return assigned
+
+
+def frozen_gain_samples(cfg, rng):
+    """The codebook's scenario gain samples as harness drew them with its own
+    path-gain lines, before channel._path_gains drew them and the cross gains
+    alike.  Frozen when scenario_gain_samples moved into channel."""
+    pos = drop_topology(replace(cfg, num_links=GAIN_SAMPLES), rng)
+    dist = np.maximum(_distances(pos[0::2] - pos[1::2]), MIN_DISTANCE_M)
+    pl = pathloss_db(cfg, dist) + rng.normal(0.0, cfg.shadow_sigma_db, size=GAIN_SAMPLES)
+    return 10.0 ** (-pl / 10.0) / cfg.noise_power_mw
 
 
 def reference_iwfa(realization, budgets, max_rounds=200):

@@ -1,12 +1,14 @@
 from dataclasses import FrozenInstanceError, fields, replace
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from smallcell.channel import (ChannelRealization, ScenarioConfig, SCENARIOS,
-                               drop_topology, pathloss_db, realize_channels, config_from_file)
-from reference import keyed_reference
+from smallcell.channel import (GAIN_SAMPLES, ChannelRealization, ScenarioConfig, SCENARIOS,
+                               drop_topology, pathloss_db, realize_channels, config_from_file,
+                               scenario_gain_samples)
+from reference import frozen_gain_samples, keyed_reference
 
 
 def cfg_for(scenario="urban-indoor", **kw):
@@ -205,6 +207,37 @@ class TestRealizeChannels:
             realize_channels(cfg, pos, key)
 
 
+class TestScenarioGainSamples:
+    def test_shape_and_positivity(self):
+        cfg = cfg_for(num_links=3, num_tones=4, rng_seed=7)
+        samples = scenario_gain_samples(cfg, np.random.default_rng(0))
+        assert samples.shape == (GAIN_SAMPLES,)
+        assert np.all(samples > 0.0)
+
+    def test_reproducible(self):
+        cfg = cfg_for(num_links=3, num_tones=4, rng_seed=7)
+        a = scenario_gain_samples(cfg, np.random.default_rng(1))
+        b = scenario_gain_samples(cfg, np.random.default_rng(1))
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("seed", [0, 1, 1234])
+    def test_bytes_match_the_frozen_copy(self, scenario, seed):
+        # the codebook's samples share realize_channels' path-gain lines and
+        # keep the bytes harness drew with its own copy of them
+        for sigma in (0.0, 3.0):
+            cfg = cfg_for(scenario, shadow_sigma_db=sigma)
+            got = scenario_gain_samples(cfg, np.random.default_rng(seed))
+            assert got.tobytes() == frozen_gain_samples(cfg, np.random.default_rng(seed)).tobytes()
+
+    @pytest.mark.parametrize("setting", [{"shadow_sigma_db": 10000.0},
+                                         {"noise_density_dbm_hz": -3230.0}])
+    @pytest.mark.filterwarnings("error")
+    def test_samples_past_the_float_range_are_inf_without_a_warning(self, setting):
+        samples = scenario_gain_samples(cfg_for(**setting), np.random.default_rng(0))
+        assert np.isinf(samples).any()
+
+
 @pytest.mark.filterwarnings("error")
 class TestKeyedSubstreams:
     """The vectorized seeding draws exactly what one default_rng per pair draws."""
@@ -326,6 +359,14 @@ class TestConfigFile:
         # unchecked, num_walls = inf reported 0.0 bit/s and the fractions ran
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
             cfg_for(**{field: value})
+
+    @pytest.mark.parametrize("field", ["num_floors", "num_walls"])
+    def test_propagation_counts_past_the_float_range_rejected(self, field):
+        # unchecked, pathloss_db's float term raised OverflowError mid-draw;
+        # a count up to the largest float still builds
+        with pytest.raises(ValueError, match=f"{field} must be at most"):
+            cfg_for(**{field: 10 ** 400})
+        cfg_for(**{field: int(sys.float_info.max)})
 
     def test_zero_propagation_terms_accepted(self):
         cfg_for(num_floors=0, shadow_sigma_db=0.0, num_walls=0, indoor_dist_m=0.0)

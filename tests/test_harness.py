@@ -1,13 +1,13 @@
 import csv
 from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
 
 from smallcell.channel import ScenarioConfig
-from smallcell.harness import (ALGORITHMS, CSV_COLUMNS, GAIN_SAMPLES, SUBGRADIENT_ITERS,
-                               TrialRecord, run_experiment,
-                               run_distributed_slots, scenario_gain_samples,
+from smallcell.harness import (ALGORITHMS, CSV_COLUMNS, SUBGRADIENT_ITERS,
+                               TrialRecord, run_experiment, run_distributed_slots,
                                summarize, render_summary, write_records_csv,
                                _trial_realization, _bps_factor)
 from smallcell.soa import assign_channels, soa_allocate
@@ -141,21 +141,18 @@ class TestRunExperiment:
                          "iwfa_solve": 2, "oracle_orthogonal": 2}
 
 
-class TestScenarioGainSamples:
-    def test_shape_and_positivity(self):
-        cfg = small_cfg()
-        samples = scenario_gain_samples(cfg, np.random.default_rng(0))
-        assert samples.shape == (GAIN_SAMPLES,)
-        assert np.all(samples > 0.0)
-
-    def test_reproducible(self):
-        cfg = small_cfg()
-        a = scenario_gain_samples(cfg, np.random.default_rng(1))
-        b = scenario_gain_samples(cfg, np.random.default_rng(1))
-        assert np.array_equal(a, b)
-
-
 class TestDistributedSlots:
+    @pytest.mark.parametrize("setting", [{"shadow_sigma_db": 10000.0},
+                                         {"noise_density_dbm_hz": -3230.0}],
+                             ids=["shadowing", "noise"])
+    def test_codebook_samples_past_the_float_range_raise_without_a_warning(self, setting):
+        # the codebook's samples once overflowed with numpy's RuntimeWarning
+        # before build_cdf_table rejected them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="gain samples must be finite and positive"):
+                run_distributed_slots(small_cfg(**setting), num_slots=1)
+
     def test_perfect_signaling_never_collides(self):
         cfg = small_cfg(num_links=3, num_tones=6)
         states = run_distributed_slots(cfg, num_slots=10, p_loss=0.0)
