@@ -19,7 +19,6 @@ import math
 
 import numpy as np
 
-from .channel import _diagonal_rows
 from .tssolver import (TSProblem, Allocation, _check_budgets, _check_count, _water_fill_core,
                        _water_fill_rows)
 
@@ -59,7 +58,7 @@ def evaluate_concurrent(realization, power) -> np.ndarray:
     # argmin and argmax both return a NaN's index, so a NaN fails the first test
     if not (power.item(power.argmin()) >= 0.0 and power.item(power.argmax()) < math.inf):
         raise ValueError("power must be finite and non-negative")
-    own = _diagonal_rows(cross) * power
+    own = np.einsum("iik->ik", cross) * power
     interf = np.einsum("ijk,ik->jk", cross, power) - own
     sinr = own / (realization.noise_power_mw + interf)
     return np.log1p(sinr).sum(axis=1)

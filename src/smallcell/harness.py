@@ -182,8 +182,11 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
     A link's claims and power row depend only on its fixed view and its
     give-up set, so a link re-schedules only in the slot after it gives up a
     new tone; each state's rescheduled lists those links (every link in slot
-    0).  The links re-scheduling in one slot run their greedies as one stack
-    (soa._assign_stack over their B local views, 3 B I K floats), and one
+    0).  Every link's view is decided once per run, in one (I, I, K) array,
+    I I K floats: decided[i] is link i's decoded view with missing entries
+    as gain zero, and a give-up zeroes decided[i, i, tone].  The links
+    re-scheduling in one slot run their greedies as one stack
+    (soa._assign_stack over their B rows of decided, 3 B I K floats), and one
     power_phase call splits their budgets over the (B, K) stack of their own
     rows of those views.  A slot where no link re-schedules shares the
     previous state's claims, powers, collisions and rates, so treat them as
@@ -210,9 +213,9 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
 
     loss_mask = np.random.default_rng((cfg.rng_seed, 0, 3)).random((I, I, K)) < p_loss
     views = run_signaling_slot(realization, table, cfg.max_power_mw, loss_mask=loss_mask)
+    decided = np.stack([view.effective_gains() for view in views])
 
     giveup_rng = np.random.default_rng((cfg.rng_seed, 0, 4))
-    given_up = [set() for _ in range(I)]
     claims = [[] for _ in range(I)]
     power = np.zeros((I, K))
     stale = set(range(I))    # links that gave up a new tone since they last scheduled
@@ -222,16 +225,12 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
         rescheduled = tuple(sorted(stale))
         stale.clear()
         if rescheduled:
-            local = np.empty((len(rescheduled), I, K))
-            for b, i in enumerate(rescheduled):
-                local[b] = views[i].effective_gains()
-                local[b, i, list(given_up[i])] = 0.0    # own abandoned tones are off the table
-            won = [sets[i] for sets, i in zip(_assign_stack(local, weights, budgets), rescheduled)]
-            _, rows = power_phase(local[np.arange(len(rescheduled)), rescheduled], won,
-                                  budgets.take(rescheduled), power_mode)
+            links = list(rescheduled)    # a tuple would select one entry
+            won = [sets[i] for sets, i in zip(_assign_stack(decided[links], weights, budgets), links)]
+            _, rows = power_phase(decided[links, links], won, budgets.take(links), power_mode)
             claims = list(claims)    # earlier states keep theirs
             power = power.copy()
-            power[list(rescheduled)] = rows
+            power[links] = rows
             for i, mine, row in zip(rescheduled, won, rows):
                 claims[i] = [k for k in mine if row[k] > 0.0]
             claimed = power > 0.0    # a link claims exactly the tones it powers
@@ -254,7 +253,7 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
         for tone, group in collisions:
             for i in group:
                 if giveup_rng.random() < giveup_probability:
-                    given_up[i].add(tone)    # always a new tone: a given-up tone is never claimed
+                    decided[i, i, tone] = 0.0    # off the table: a given-up tone is never claimed again
                     stale.add(i)
     return states
 

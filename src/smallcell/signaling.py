@@ -134,10 +134,10 @@ def encode_powers(gains, table: QuantizationTable, p0_mw: float):
     """Transmit powers (reference, scaled) announcing each gain in an array.
 
     The reference burst goes out at p0_mw, the scaled one at p0_mw * f(level)
-    where level is the quantized gain.
+    where level is the quantized gain.  p0_mw must be finite and positive.
     """
-    if not p0_mw > 0.0:
-        raise ValueError("reference power must be positive")
+    if not 0.0 < p0_mw < np.inf:
+        raise ValueError("reference power must be finite and positive")
     return p0_mw, p0_mw * table.f_values[table.level_index(gains)]
 
 

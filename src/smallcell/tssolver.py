@@ -159,12 +159,16 @@ def power_phase(gains, sets, budgets, power_mode: str):
     zero-gain tone keeps its share but gets no power.  Tones are
     water-filled in the set's order, into a row of their own, since the
     rounding fix-up sums the filled row in index order.  Each row's result
-    is the one it gets alone.  In either mode, budgets must hold one finite,
-    positive budget per row, and sets one set of distinct tones in [0, K)
-    per row; otherwise ValueError is raised before any power is split,
-    naming the first bad set.  This is the package's one checked water fill.
+    is the one it gets alone.  In either mode, gains must be 2-D, budgets
+    must hold one finite, positive budget per row, and sets one set of
+    distinct tones in [0, K) per row; otherwise ValueError is raised before
+    any power is split, naming the first bad set.  This is the package's one
+    checked water fill.
     """
     _check_power_mode(power_mode)
+    gains = np.asarray(gains, dtype=float)
+    if gains.ndim != 2:
+        raise ValueError(f"gains must be 2-D, one row per tone set, got shape {gains.shape}")
     num_rows, num_tones = gains.shape
     if len(sets) != num_rows:
         raise ValueError(f"{len(sets)} tone sets for {num_rows} rows of gains")
@@ -325,18 +329,9 @@ def _share_fill(problem: TSProblem):
 
 
 def default_multipliers(problem: TSProblem) -> np.ndarray:
-    """Water-level-scale starting point for the multipliers.
-
-    Each link's median gain is read from one sort: the middle entry, or the
-    sum of the two middle entries divided by 2.0, the bits np.median gives
-    at a fraction of its cost.
-    """
-    ordered = np.sort(problem.gains, axis=1)
-    half = problem.num_tones // 2
-    if problem.num_tones % 2:
-        med = ordered[:, half]
-    else:
-        med = (ordered[:, half - 1] + ordered[:, half]) / 2.0
+    """Water-level-scale starting point for the multipliers, from each
+    link's median gain."""
+    med = np.median(problem.gains, axis=1)
     lam0 = problem.weights * med / (1.0 + problem.budgets * med / problem.num_tones)
     return np.maximum(lam0, LAM_FLOOR)
 
@@ -516,7 +511,9 @@ def _water_fill_rows(gains, budgets) -> np.ndarray:
     fix-up that adds the budget less the row's pairwise sum to the
     strongest tone.  np.reciprocal runs on the normal-branch rows only, so
     a 1/g that overflows warns exactly when the core would; the prefix sums
-    may overflow silently, as the core's Python floats do.  Nothing is
+    may overflow silently, as the core's Python floats do.  When every row
+    is normal, as in nearly every Oracle table, one reciprocal of the whole
+    stack skips the masked copies and their fancy indexing.  Nothing is
     checked.
 
     It makes about 35 numpy calls whatever n is: about 30 us for up to a

@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from smallcell.baselines import IWFA_EPS_MW
-from smallcell.channel import GAIN_SAMPLES, MIN_DISTANCE_M, _distances, drop_topology, pathloss_db
+from smallcell.channel import GAIN_SAMPLES, MIN_DISTANCE_M, drop_topology, pathloss_db
 from smallcell.signaling import decode_levels, encode_powers
 from smallcell.tssolver import (LAM_FLOOR, WATER_FILL_MIN_SNR, TSProblem, _water_fill_core,
                                 default_multipliers)
@@ -201,7 +201,7 @@ def frozen_gain_samples(cfg, rng):
     path-gain lines, before channel._path_gains drew them and the cross gains
     alike.  Frozen when scenario_gain_samples moved into channel."""
     pos = drop_topology(replace(cfg, num_links=GAIN_SAMPLES), rng)
-    dist = np.maximum(_distances(pos[0::2] - pos[1::2]), MIN_DISTANCE_M)
+    dist = np.maximum(np.linalg.norm(pos[0::2] - pos[1::2], axis=-1), MIN_DISTANCE_M)
     pl = pathloss_db(cfg, dist) + rng.normal(0.0, cfg.shadow_sigma_db, size=GAIN_SAMPLES)
     return 10.0 ** (-pl / 10.0) / cfg.noise_power_mw
 

@@ -1,22 +1,18 @@
-"""The numpy identities the water fills, the dual, the channel, the codebook
-and evaluate_concurrent rely on.
+"""The numpy identities the water fills, the dual, the codebook, the
+channel's seeding and evaluate_concurrent rely on.
 
 They pick the cheaper of two calls that give the same bits: np.reciprocal
 for 1.0 / x, x[x.argmax()] for np.maximum.reduce(x), and a.item(a.argmax())
 for float(a.max()); evaluate_concurrent reads a.item(a.argmin()) for
 float(a.min()).  The stacked water fill (_water_fill_rows) gives each row
 the core's bits only if a reduction, prefix sum or stable sort along axis 1
-treats row r as the 1-D call on that row does; subgradient_solve reads its
-steps from a table built once, and default_multipliers takes the median from
-one sort.  The protocol run skips numpy's convenience wrappers: the signaling
-codebook reads numpy's linear quantiles from one sort (_linear_quantiles for
-np.quantile), link lengths are sqrt(add.reduce(d * d, axis=-1)) (_distances
-for np.linalg.norm), and direct gains are the strided diagonal rows of the
-cross gains (_diagonal_rows for np.einsum("iik->ik")).  The channel's keyed
-substreams seed PCG64 from _pair_seed_words, numpy's SeedSequence hash run
-on uint32 arrays for every link pair at once.  These tests pin the
-equivalences on the numpy that runs them, so a numpy version or SIMD path
-where they differ fails here first.
+treats row r as the 1-D call on that row does, and subgradient_solve reads
+its steps from a table built once.  The signaling codebook reads numpy's
+linear quantiles from one sort (_linear_quantiles for np.quantile), and the
+channel's keyed substreams seed PCG64 from _pair_seed_words, numpy's
+SeedSequence hash run on uint32 arrays for every link pair at once.  These
+tests pin the equivalences on the numpy that runs them, so a numpy version
+or SIMD path where they differ fails here first.
 """
 
 from itertools import accumulate
@@ -25,7 +21,7 @@ import struct
 import numpy as np
 import pytest
 
-from smallcell.channel import _diagonal_rows, _distances, _pair_seed_words
+from smallcell.channel import _pair_seed_words
 from smallcell.signaling import _linear_quantiles
 from smallcell.tssolver import STEP_SCHEDULE
 
@@ -115,18 +111,6 @@ def test_row_stable_argsort_is_each_row_alone(width):
         assert np.array_equal(order[r], row.argsort(kind="stable"))
 
 
-@pytest.mark.parametrize("width", range(1, 12))
-def test_median_from_one_sort(width):
-    rng = np.random.default_rng(width)
-    a = np.vstack([rng.lognormal(0.0, 3.0, (4, width)),
-                   rng.integers(0, 3, (4, width)).astype(float),     # ties and zeros
-                   np.zeros((1, width))])
-    ordered = np.sort(a, axis=1)
-    half = width // 2
-    med = ordered[:, half] if width % 2 else (ordered[:, half - 1] + ordered[:, half]) / 2.0
-    assert med.tobytes() == np.median(a, axis=1).tobytes()
-
-
 @pytest.mark.parametrize("num_links", [1, 3, 16])
 def test_step_table_rows_are_the_scalar_steps(num_links):
     a, b = STEP_SCHEDULE
@@ -153,27 +137,6 @@ def test_sorted_linear_quantiles_have_the_bytes_of_np_quantile(size):
             probs = np.arange(1, levels + 1) / levels
             got = _linear_quantiles(ordered, probs)
             assert got.tobytes() == np.quantile(samples, probs).tobytes()
-
-
-@pytest.mark.parametrize("shape", [(1, 2), (7, 2), (2048, 2), (1, 1, 2), (4, 4, 2), (16, 16, 2)])
-def test_distances_have_the_bytes_of_linalg_norm(shape):
-    rng = np.random.default_rng(shape[0])
-    for delta in (rng.uniform(-50.0, 50.0, shape), rng.normal(0.0, 1e-3, shape),
-                  rng.integers(-3, 4, shape).astype(float)):
-        assert _distances(delta).tobytes() == np.linalg.norm(delta, axis=-1).tobytes()
-
-
-@pytest.mark.parametrize("links, tones", [(1, 1), (1, 10), (3, 4), (4, 10), (16, 64)])
-def test_diagonal_rows_are_the_einsum_view(links, tones):
-    cross = np.random.default_rng(links).lognormal(-10.0, 3.0, (links, links, tones))
-    rows = _diagonal_rows(cross)
-    want = np.einsum("iik->ik", cross)
-    assert rows.shape == want.shape and rows.strides == want.strides
-    assert np.shares_memory(rows, cross)
-    assert rows.tobytes() == want.tobytes()
-    power = np.random.default_rng(0).random((links, tones))
-    assert (rows * power).tobytes() == (want * power).tobytes()
-    assert (rows / 0.25).tobytes() == (want / 0.25).tobytes()
 
 
 _KEYS = [(), (0,), (7,),

@@ -214,8 +214,8 @@ class TestSignalingSlot:
         cfg, real = small_realization()
         table = build_cdf_table(real.direct_gain.ravel(), 4)
         every_pair_lost = np.ones((4, 4, 10), dtype=bool)
-        for p0 in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError, match="reference power"):
+        for p0 in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="reference power must be finite and positive"):
                 run_signaling_slot(real, table, p0)
             with pytest.raises(ValueError, match="reference power"):
                 run_signaling_slot(real, table, p0, loss_mask=every_pair_lost)

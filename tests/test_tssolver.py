@@ -596,6 +596,19 @@ class TestPowerPhase:
         with pytest.raises(ValueError, match=r"budgets must have shape \(2,\)"):
             power_phase(np.ones((2, 3)), [[0], [1, 2]], budgets, mode)
 
+    @pytest.mark.parametrize("mode", ["equal", "waterfill"])
+    def test_gains_must_be_two_dimensional(self, mode):
+        # unchecked, 1-D gains failed to unpack their shape and a list of
+        # lists had no shape at all
+        for gains in (np.ones(3), np.ones((1, 2, 3))):
+            with pytest.raises(ValueError, match=re.escape(f"got shape {gains.shape}")):
+                power_phase(gains, [[0]], np.ones(1), mode)
+        rows = [[0.5, 2.0, 0.0], [1.0, 0.25, 3.0]]
+        got = power_phase(rows, [[0, 1], [2, 1]], np.array([2.0, 3.0]), mode)
+        want = power_phase(np.array(rows), [[0, 1], [2, 1]], np.array([2.0, 3.0]), mode)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
 
 def fill_row(gains, budget):
     """power_phase's water fill of one gain row over all of its tones."""
