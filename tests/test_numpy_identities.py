@@ -10,9 +10,13 @@ treats row r as the 1-D call on that row does, and subgradient_solve reads
 its steps from a table built once.  The signaling codebook reads numpy's
 linear quantiles from one sort (_linear_quantiles for np.quantile), and the
 channel's keyed substreams seed PCG64 from _pair_seed_words, numpy's
-SeedSequence hash run on uint32 arrays for every link pair at once.  These
-tests pin the equivalences on the numpy that runs them, so a numpy version
-or SIMD path where they differ fails here first.
+SeedSequence hash run on uint32 arrays for every link pair at once.  The
+dual's starting point, the path gains and the direct gains call np.median,
+np.linalg.norm and np.einsum("iik->ik"), whose bits earlier versions read
+from one sort, sqrt(add.reduce(d * d)) and the strided diagonal rows; those
+tests check the library still gives those bits.  These tests pin the
+equivalences on the numpy that runs them, so a numpy version or SIMD path
+where they differ fails here first.
 """
 
 from itertools import accumulate
@@ -21,9 +25,11 @@ import struct
 import numpy as np
 import pytest
 
-from smallcell.channel import _pair_seed_words
+from smallcell.baselines import evaluate_concurrent
+from smallcell.channel import (MIN_DISTANCE_M, ChannelRealization, ScenarioConfig, _pair_seed_words,
+                               _path_gains, pathloss_db)
 from smallcell.signaling import _linear_quantiles
-from smallcell.tssolver import STEP_SCHEDULE
+from smallcell.tssolver import LAM_FLOOR, STEP_SCHEDULE, TSProblem, default_multipliers
 
 
 def _inputs():
@@ -111,6 +117,22 @@ def test_row_stable_argsort_is_each_row_alone(width):
         assert np.array_equal(order[r], row.argsort(kind="stable"))
 
 
+@pytest.mark.parametrize("width", range(1, 12))
+def test_median_from_one_sort(width):
+    rng = np.random.default_rng(width)
+    a = np.vstack([rng.lognormal(0.0, 3.0, (4, width)),
+                   rng.integers(0, 3, (4, width)).astype(float),     # ties and zeros
+                   np.zeros((1, width))])
+    ordered = np.sort(a, axis=1)
+    half = width // 2
+    med = ordered[:, half] if width % 2 else (ordered[:, half - 1] + ordered[:, half]) / 2.0
+    assert med.tobytes() == np.median(a, axis=1).tobytes()
+    problem = TSProblem(gains=a, weights=rng.uniform(0.5, 2.0, len(a)),
+                        budgets=rng.uniform(1.0, 100.0, len(a)))
+    lam0 = problem.weights * med / (1.0 + problem.budgets * med / width)
+    assert default_multipliers(problem).tobytes() == np.maximum(lam0, LAM_FLOOR).tobytes()
+
+
 @pytest.mark.parametrize("num_links", [1, 3, 16])
 def test_step_table_rows_are_the_scalar_steps(num_links):
     a, b = STEP_SCHEDULE
@@ -137,6 +159,38 @@ def test_sorted_linear_quantiles_have_the_bytes_of_np_quantile(size):
             probs = np.arange(1, levels + 1) / levels
             got = _linear_quantiles(ordered, probs)
             assert got.tobytes() == np.quantile(samples, probs).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (7, 2), (2048, 2), (1, 1, 2), (4, 4, 2), (16, 16, 2)])
+def test_distances_have_the_bytes_of_linalg_norm(shape):
+    rng = np.random.default_rng(shape[0])
+    cfg = ScenarioConfig()
+    for delta in (rng.uniform(-50.0, 50.0, shape), rng.normal(0.0, 1e-3, shape),
+                  rng.integers(-3, 4, shape).astype(float)):
+        lengths = np.sqrt(np.add.reduce(delta * delta, axis=-1))
+        assert lengths.tobytes() == np.linalg.norm(delta, axis=-1).tobytes()
+        shadow = rng.normal(0.0, 8.0, shape[:-1] + (3,))
+        pl = pathloss_db(cfg, np.maximum(lengths, MIN_DISTANCE_M))
+        want = 10.0 ** (-(pl[..., None] + shadow) / 10.0)
+        got = _path_gains(cfg, delta, np.zeros(shape), shadow)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("links, tones", [(1, 1), (1, 10), (3, 4), (4, 10), (16, 64)])
+def test_diagonal_rows_are_the_einsum_view(links, tones):
+    cross = np.random.default_rng(links).lognormal(-10.0, 3.0, (links, links, tones))
+    rows = cross.reshape(links * links, tones)[::links + 1]
+    want = np.einsum("iik->ik", cross)
+    assert rows.shape == want.shape and rows.strides == want.strides
+    assert np.shares_memory(want, cross)
+    assert rows.tobytes() == want.tobytes()
+    power = np.random.default_rng(0).random((links, tones))
+    assert (rows * power).tobytes() == (want * power).tobytes()
+    realization = ChannelRealization(cross, 0.25)
+    assert realization.direct_gain.tobytes() == (rows / 0.25).tobytes()
+    own = rows * power
+    sinr = own / (0.25 + (np.einsum("ijk,ik->jk", cross, power) - own))
+    assert evaluate_concurrent(realization, power).tobytes() == np.log1p(sinr).sum(axis=1).tobytes()
 
 
 _KEYS = [(), (0,), (7,),
