@@ -69,17 +69,22 @@ def iwfa_solve(realization, budgets, max_rounds: int = 200) -> InterferenceAlloc
 
     Links update sequentially in index order; each one water-fills its budget
     against the noise-plus-interference floor left by the others' current
-    powers.  Starts from the interference-free water filling point.  Stops
-    after a full round moves no power entry by IWFA_EPS_MW or more, or at
-    max_rounds; running out of rounds sets converged=False and is not an
-    error.  delta_trace holds each round's largest power move.  Budgets must
-    be one finite, positive value per link, and max_rounds an integer >= 1.
+    powers.  Starts from every link's best response to silence, which is
+    its water filling against the noise alone.  Stops after a full round
+    moves no power entry by IWFA_EPS_MW or more, or at max_rounds; running
+    out of rounds sets converged=False and is not an error, so converged is
+    whether delta_trace, each round's largest power move, ends below
+    IWFA_EPS_MW.  Budgets must be one finite, positive value per link, and
+    max_rounds an integer >= 1.
 
     A round's powers fully determine the next round, so once a round that
     did not converge ends on the exact powers an earlier round ended on, the
     run repeats that cycle until max_rounds.  The cycle is then not run out:
     delta_trace is filled from it and the powers are those the cycle ends
-    on at max_rounds, the same result as running every round.
+    on at max_rounds, the same result as running every round.  The bytes
+    of each round's starting powers, which detect the cycle, are the one
+    record of past rounds: a round's move and the cycle's end are read
+    back from them.
 
     At K = 10 a best response costs about 13 us, most of it numpy's fixed
     cost per call, so the round loop picks its calls for cost, each with
@@ -103,34 +108,33 @@ def iwfa_solve(realization, budgets, max_rounds: int = 200) -> InterferenceAlloc
         if usable is not None and usable.size == 0:
             raise ValueError(f"link {i} has no tone with positive direct gain")
         links.append((cross[:, i, :], direct, float(budgets[i]), usable))
-
-    # a best response water-fills direct / floor over the positive-gain tones
-    # straight into the link's zeroed power row; with non-negative gains the
-    # floor is never negative, so those tones' gains stay positive.  The
-    # first fill is against the noise alone, over the realization's direct gains.
     power = np.zeros((I, cross.shape[2]))
-    for row, gains, (_, _, budget, usable) in zip(power, realization.direct_gain, links):
-        _water_fill_core(row, gains if usable is None else gains[usable], usable, budget)
-
     noise_k = np.full(power.shape[1], realization.noise_power_mw)
-    deltas = []
-    history = []    # history[n]: the powers after n rounds
-    seen = {}       # their bytes -> n
-    key = power.tobytes()
-    converged = False
-    while len(deltas) < max_rounds:
-        before = power.copy()
-        seen[key] = len(history)    # a key seen before has ended the run
-        history.append(before)
+
+    # a best response: each link in index order water-fills direct / floor
+    # over its positive-gain tones straight into its zeroed power row, the
+    # floor being the noise plus all it receives of the powers heard, less
+    # its own signal.  Its own row of heard is its row of power until it is
+    # filled: both are zero at the start, and heard is power in a round.
+    # With non-negative gains the floor is never negative, so those tones'
+    # gains stay positive.
+    def respond(heard):
         for row, (incoming, direct, budget, usable) in zip(power, links):
-            floor = noise_k + np.einsum("jk,jk->k", incoming, power) - direct * row
+            floor = noise_k + np.einsum("jk,jk->k", incoming, heard) - direct * row
             gains = direct / floor
             row.fill(0.0)
             _water_fill_core(row, gains if usable is None else gains[usable], usable, budget)
-        moved = np.abs(power - before)
+
+    respond(np.zeros_like(power))
+    deltas = []
+    seen = {}    # the bytes of the powers after n rounds -> n
+    key = power.tobytes()
+    while len(deltas) < max_rounds:
+        seen[key] = len(deltas)    # a key seen before has ended the run
+        respond(power)    # Gauss-Seidel: later links hear this round's rows
+        moved = np.abs(power - np.frombuffer(key).reshape(power.shape))
         deltas.append(moved.item(moved.argmax()))
         if deltas[-1] < IWFA_EPS_MW:
-            converged = True
             break
         key = power.tobytes()
         first = seen.get(key)
@@ -138,11 +142,12 @@ def iwfa_solve(realization, budgets, max_rounds: int = 200) -> InterferenceAlloc
             period = len(deltas) - first
             while len(deltas) < max_rounds:
                 deltas.append(deltas[-period])
-            power = history[first + (max_rounds - first) % period]
+            end = list(seen)[first + (max_rounds - first) % period]
+            power[:] = np.frombuffer(end).reshape(power.shape)
             break
 
     return InterferenceAllocation(power=power, rate=evaluate_concurrent(realization, power),
-                                  rounds=len(deltas), converged=converged,
+                                  rounds=len(deltas), converged=deltas[-1] < IWFA_EPS_MW,
                                   delta_trace=np.array(deltas))
 
 

