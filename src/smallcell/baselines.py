@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .tssolver import (TSProblem, Allocation, _check_budgets, _check_count, _water_fill_core,
+from .tssolver import (TSProblem, Allocation, _check_budgets, _check_int, _water_fill_core,
                        _water_fill_rows)
 
 ORACLE_MAX_ASSIGNMENTS = 10 ** 6
@@ -95,7 +95,7 @@ def iwfa_solve(realization, budgets, max_rounds: int = 200) -> InterferenceAlloc
     since a round starts on the powers the last one ended on.  Python 3.11,
     numpy 2.4, one core of a 2-vCPU x86-64 host.
     """
-    max_rounds = _check_count("max_rounds", max_rounds)
+    max_rounds = _check_int("max_rounds", max_rounds, 1)
     cross = realization.cross_gain
     I = realization.num_links
     budgets = _check_budgets(budgets, I)

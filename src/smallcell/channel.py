@@ -27,7 +27,7 @@ import sys
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .tssolver import _check_count
+from .tssolver import _check_int
 
 SCENARIOS = ("urban-indoor", "urban-outdoor", "suburban-indoor", "suburban-outdoor")
 
@@ -65,20 +65,17 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
-        _check_count("num_links", self.num_links)
-        _check_count("num_tones", self.num_tones)
         if self.cell_radius_m <= 0 or self.tone_bandwidth_hz <= 0:
             raise ValueError("cell_radius_m and tone_bandwidth_hz must be positive")
-        for name in ("num_floors", "num_walls", "indoor_dist_m", "shadow_sigma_db"):
+        for name in ("indoor_dist_m", "shadow_sigma_db"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
-        check_seed("rng_seed", self.rng_seed)
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type is float and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-            if f.type is int and not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type is int:
+                _check_int(f.name, value, 1 if f.name in ("num_links", "num_tones") else 0)
             # pathloss_db scales a dB term by these counts as floats
             if f.name in ("num_floors", "num_walls") and value > sys.float_info.max:
                 raise ValueError(f"{f.name} must be at most {sys.float_info.max!r}, the largest float")
@@ -137,14 +134,6 @@ class ChannelRealization:
     @property
     def num_tones(self) -> int:
         return self.cross_gain.shape[2]
-
-
-def check_seed(name: str, value) -> int:
-    """Return value as an int; raise ValueError naming it unless it is a
-    non-negative integer, the only seed numpy's SeedSequence takes."""
-    if not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    return int(value)
 
 
 def config_from_file(path, **overrides) -> ScenarioConfig:
@@ -316,7 +305,7 @@ def _pair_seed_words(key, I):
     """
     words = []
     for value in key:
-        value = check_seed("seed key element", value)
+        value = _check_int("seed key element", value, 0)
         words.append(value & 0xFFFFFFFF)
         while value > 0xFFFFFFFF:
             value >>= 32

@@ -27,7 +27,7 @@ import numpy as np
 from .channel import ScenarioConfig, drop_topology, realize_channels, scenario_gain_samples
 from .signaling import build_cdf_table, run_signaling_slot
 from .tssolver import (TSProblem, Allocation, power_phase, subgradient_solve, recover_primal,
-                       _check_count, _check_power_mode)
+                       _check_int, _check_power_mode)
 from .soa import soa_allocate, _assign_stack
 from .baselines import OracleTooLarge, iwfa_solve, oracle_orthogonal, evaluate_concurrent
 
@@ -128,7 +128,7 @@ def run_experiment(cfg: ScenarioConfig, algorithms=("SOA", "IWFA"), trials: int 
         if name not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {name!r}, expected subset of {ALGORITHMS}")
     _check_power_mode(power_mode)
-    trials = _check_count("trials", trials)
+    trials = _check_int("trials", trials, 1)
     if not 0.0 <= signaling_overhead < 1.0:
         raise ValueError("signaling_overhead must be in [0, 1)")
 
@@ -197,15 +197,16 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
     _check_power_mode(power_mode)
     if not 0.0 <= giveup_probability <= 1.0:
         raise ValueError("giveup_probability must be in [0, 1]")
-    num_slots = _check_count("num_slots", num_slots)
-    _check_count("signaling_levels", signaling_levels)
+    num_slots = _check_int("num_slots", num_slots, 1)
+    _check_int("signaling_levels", signaling_levels, 2)
 
     I, K = cfg.num_links, cfg.num_tones
     factor = _bps_factor(cfg)
     budgets = np.full(I, cfg.max_power_mw)
     weights = np.ones(I)
 
-    # the codebook comes first, so a bad signaling_levels fails before the channel draw
+    # the codebook comes first, so a level count too fine for the gain samples
+    # (duplicate levels) fails before the channel draw
     table_rng = np.random.default_rng((cfg.rng_seed, 0, 5))
     table = build_cdf_table(scenario_gain_samples(cfg, table_rng), signaling_levels)
     realization = _trial_realization(cfg, 0)

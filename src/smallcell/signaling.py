@@ -19,7 +19,7 @@ of a slot through them at once, one receiver at a time.
 from dataclasses import dataclass
 import numpy as np
 
-from .tssolver import _check_count
+from .tssolver import _check_int
 
 # a received ratio s2/s1 above 1 + RATIO_TOL cannot come from a valid pair
 RATIO_TOL = 0.1
@@ -88,11 +88,11 @@ def build_cdf_table(gain_samples, num_levels: int) -> QuantizationTable:
     _linear_quantiles: 31-35 us for 2,048 samples and 16 levels, against
     113-117 us through np.quantile, whose wrapper is most of its cost
     (Python 3.11, numpy 2.4, one core of a shared 2-vCPU x86-64 host).
-    Samples must be finite and positive, and sample sets too coarse to give
-    M distinct levels raise; both are ValueError.
+    num_levels must be an integer >= 2 and samples finite and positive, and
+    sample sets too coarse to give M distinct levels raise; all are
+    ValueError.
     """
-    if _check_count("num_levels", num_levels) < 2:
-        raise ValueError("need at least two quantization levels")
+    _check_int("num_levels", num_levels, 2)
     ordered = np.sort(np.asarray(gain_samples, dtype=float), axis=None)
     if ordered.size == 0:
         raise ValueError("empty sample set")

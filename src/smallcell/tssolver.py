@@ -64,11 +64,13 @@ STEP_SCHEDULE = (1.0, 10.0)
 CHECK_EVERY = 10  # iterations between two certificate checks of subgradient_solve
 
 
-def _check_count(name: str, value) -> int:
+def _check_int(name: str, value, least: int) -> int:
     """Return value as an int; raise ValueError naming it unless it is an
-    integer of at least 1 (an iteration, round, trial or slot count)."""
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    int or numpy integer no smaller than least: 1 for a count, 0 for a seed,
+    2 for a level count.  A bool is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        rule = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
     return int(value)
 
 
@@ -95,7 +97,8 @@ class TSProblem:
 
     gains may contain zeros (a zero row entry models a tone the link knows
     nothing about and will never claim); weights and budgets are finite and
-    strictly positive.
+    strictly positive, and each link's full-budget SNR, its budget times its
+    largest gain, is finite.
     """
 
     gains: np.ndarray     # (I, K), 1/mW, >= 0
@@ -118,6 +121,9 @@ class TSProblem:
         if not ((w > 0.0) & (w < np.inf)).all():
             raise ValueError("weights must be finite and strictly positive")
         _check_budgets(b, g.shape[0])
+        with np.errstate(over="ignore"):    # an overflow is rejected here, without a warning
+            if not (b * np.maximum.reduce(g, axis=1) < np.inf).all():
+                raise ValueError("each link's full-budget SNR, budget times largest gain, must be finite")
 
     @property
     def num_links(self) -> int:
@@ -399,7 +405,7 @@ def subgradient_solve(problem: TSProblem, max_iters: int = 10000, tol=1e-4) -> S
     start point and G the largest observed (rescaled) subgradient norm.
     """
     a, b = STEP_SCHEDULE
-    max_iters = _check_count("max_iters", max_iters)
+    max_iters = _check_int("max_iters", max_iters, 1)
     if tol is not None and not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be None, or finite and >= 0, got {tol!r}")
 

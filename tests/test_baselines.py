@@ -149,9 +149,9 @@ class TestIwfa:
         with pytest.raises(ValueError):
             iwfa_solve(real, np.ones(3), max_rounds=0)
 
-    @pytest.mark.parametrize("max_rounds", [2.5, 3.0, -2])
+    @pytest.mark.parametrize("max_rounds", [2.5, 3.0, -2, True])
     def test_max_rounds_not_a_count_rejected(self, max_rounds):
-        # unchecked, 2.5 silently ran 3 rounds
+        # unchecked, 2.5 silently ran 3 rounds and True one
         real = random_realization(np.random.default_rng(7))
         with pytest.raises(ValueError, match="max_rounds must be an integer >= 1"):
             iwfa_solve(real, np.ones(3), max_rounds=max_rounds)

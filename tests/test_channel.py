@@ -199,7 +199,7 @@ class TestRealizeChannels:
 
     # a Generator is no key: keyed substreams are the one draw path
     @pytest.mark.parametrize("key", [-1, (-1,), (1, -2, 3), (1, 0.5, 2), 1.5, [1, 2],
-                                     np.random.default_rng(1)])
+                                     np.random.default_rng(1), (True, 1)])
     def test_bad_seed_key_rejected(self, key):
         cfg = cfg_for(num_links=2, num_tones=3)
         pos = drop_topology(cfg, np.random.default_rng(0))
@@ -328,7 +328,8 @@ class TestConfigFile:
     def test_negative_propagation_terms_rejected(self, field, value):
         # unchecked, the first two crash mid-draw and the others silently
         # lower the path loss
-        with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+        rule = "a non-negative integer" if isinstance(value, int) else "non-negative"
+        with pytest.raises(ValueError, match=f"{field} must be {rule}"):
             cfg_for(**{field: value})
 
     @pytest.mark.parametrize("field", [f.name for f in fields(ScenarioConfig) if f.type is float])
@@ -339,25 +340,29 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=field):
             cfg_for(**{field: value})
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None, True, False])
     def test_bad_rng_seed_rejected(self, seed):
         # unchecked, a negative seed was accepted and failed inside numpy
-        # at the first draw
+        # at the first draw, and a bool seeded as 1 or 0
         with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
             cfg_for(rng_seed=seed)
 
-    @pytest.mark.parametrize("field, value", [("num_links", 2.5), ("num_tones", 3.0)])
+    @pytest.mark.parametrize("field, value", [("num_links", 2.5), ("num_tones", 3.0),
+                                              ("num_links", True), ("num_tones", True)])
     def test_counts_not_integers_rejected(self, field, value):
         # unchecked, a float count was accepted and failed mid-run with
-        # "'float' object cannot be interpreted as an integer"
+        # "'float' object cannot be interpreted as an integer", and a True
+        # count with numpy's "an integer is required"
         with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
             cfg_for(**{field: value})
 
     @pytest.mark.parametrize("field, value", [("num_walls", float("inf")), ("num_floors", 0.5),
-                                              ("num_walls", 1.5)])
+                                              ("num_walls", 1.5), ("num_floors", True),
+                                              ("num_walls", False)])
     def test_propagation_counts_not_integers_rejected(self, field, value):
-        # unchecked, num_walls = inf reported 0.0 bit/s and the fractions ran
-        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        # unchecked, num_walls = inf reported 0.0 bit/s, and the fractions and
+        # bools ran
+        with pytest.raises(ValueError, match=f"{field} must be a non-negative integer, got {value!r}"):
             cfg_for(**{field: value})
 
     @pytest.mark.parametrize("field", ["num_floors", "num_walls"])

@@ -97,7 +97,7 @@ class TestSweep:
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv, message", [
-        (["slots", "--signaling-levels", "1"], "smallcell slots: error: need at least two quantization levels"),
+        (["slots", "--signaling-levels", "1"], "smallcell slots: error: signaling_levels must be an integer >= 2"),
         (["slots", "--slots", "0"], "smallcell slots: error: num_slots must be an integer >= 1"),
         (["sim", "--tones", "0"], "smallcell sim: error: num_tones must be an integer >= 1"),
         (["sweep", "--links", "2,x"], "smallcell sweep: error: invalid literal for int()"),
@@ -129,6 +129,9 @@ class TestUsageErrors:
         ("noise_density_dbm_hz = 4000", "noise_power_mw from noise_density_dbm_hz and tone_bandwidth_hz is inf"),
         ("shadow_sigma_db = 10000", "cross gains must be finite and non-negative"),
         ("num_links = 2.5", "bad.cfg:1: num_links expects int, got '2.5'"),
+        # a full-budget SNR past the float range once scored inf or ended in
+        # a FloatingPointError traceback
+        ("noise_density_dbm_hz = -3200", "each link's full-budget SNR"),
     ])
     def test_rejected_config_file_is_a_one_line_usage_error(self, tmp_path, line, message, capsys):
         path = tmp_path / "bad.cfg"

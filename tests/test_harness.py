@@ -92,9 +92,10 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(cfg, trials=1, signaling_overhead=1.0)
 
-    @pytest.mark.parametrize("trials", [1.5, 2.0, -1])
+    @pytest.mark.parametrize("trials", [1.5, 2.0, -1, True])
     def test_trials_not_a_count_rejected(self, trials):
-        # unchecked, a float failed with a TypeError from range
+        # unchecked, a float failed with a TypeError from range, and True ran
+        # one trial
         with pytest.raises(ValueError, match="trials must be an integer >= 1"):
             run_experiment(small_cfg(), trials=trials)
 
@@ -210,13 +211,11 @@ class TestDistributedSlots:
         with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
             run_distributed_slots(small_cfg(rng_seed=seed), num_slots=1)
 
-    @pytest.mark.parametrize("levels, message", [(2.5, "signaling_levels must be an integer >= 1"),
-                                                 (3.0, "signaling_levels must be an integer >= 1"),
-                                                 (1, "at least two quantization levels")])
-    def test_bad_signaling_levels_rejected_on_entry(self, levels, message, no_channel_draw):
+    @pytest.mark.parametrize("levels", [2.5, 3.0, 1, True, False])
+    def test_bad_signaling_levels_rejected_on_entry(self, levels, no_channel_draw):
         # unchecked, 2.5 failed in numpy's quantile after the channel draw, 3.0
         # was accepted, and 1 was rejected only after the channel draw
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match="signaling_levels must be an integer >= 2"):
             run_distributed_slots(small_cfg(), num_slots=1, signaling_levels=levels)
 
     def test_loss_fraction_matches_probability(self):

@@ -33,11 +33,11 @@ class TestTableConstruction:
         assert np.allclose(table.gain_levels, [2.5, 4.0])
         assert np.allclose(table.f_values, [0.5, 1.0])
 
-    @pytest.mark.parametrize("levels", [2.5, 3.0])
+    @pytest.mark.parametrize("levels", [2.5, 3.0, True, False])
     def test_level_count_not_an_integer_rejected(self, levels):
         # unchecked, 2.5 raised numpy's "Quantiles must be in the range [0, 1]"
-        # and 3.0 was accepted
-        with pytest.raises(ValueError, match="num_levels must be an integer >= 1"):
+        # and 3.0 was accepted; True was read as one level
+        with pytest.raises(ValueError, match="num_levels must be an integer >= 2"):
             build_cdf_table(np.linspace(1.0, 3.0, 3000), levels)
 
     def test_duplicate_levels_rejected(self):

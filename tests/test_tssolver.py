@@ -289,9 +289,10 @@ class TestSubgradientSolve:
         with pytest.raises(ValueError):
             subgradient_solve(prob, max_iters=0)
 
-    @pytest.mark.parametrize("max_iters", [2.5, 3.0, "10", -1])
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, "10", -1, True])
     def test_max_iters_not_a_count_rejected(self, max_iters):
-        # unchecked, a float failed with a TypeError from range
+        # unchecked, a float failed with a TypeError from range, and True ran
+        # one iteration
         with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
             subgradient_solve(random_problem(np.random.default_rng(7), num_links=3, num_tones=4),
                               max_iters=max_iters)
@@ -744,3 +745,13 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
             TSProblem(gains=np.zeros(shape), weights=np.ones(shape[0]),
                       budgets=np.ones(shape[0]))
+
+    @pytest.mark.parametrize("gains, budget", [([[1e300, 1.0]], 1e10), ([[0.0, 1e200]], 1e200)])
+    def test_full_budget_snr_past_the_float_range_rejected(self, gains, budget):
+        # unchecked, SOA scored an inf objective and the dual raised
+        # FloatingPointError after numpy's overflow warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="full-budget SNR"):
+                TSProblem(gains=gains, weights=[1.0], budgets=[budget])
+        TSProblem(gains=gains, weights=[1.0], budgets=[1.0])
