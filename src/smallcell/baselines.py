@@ -15,11 +15,10 @@ Rates are natural-log units per tone use, consistent with tssolver.
 
 from dataclasses import dataclass
 from itertools import combinations, islice
-import math
 
 import numpy as np
 
-from .tssolver import (TSProblem, Allocation, _check_budgets, _check_int, _water_fill_core,
+from .tssolver import (TSProblem, Allocation, _check_finite, _check_int, _water_fill_core,
                        _water_fill_rows)
 
 ORACLE_MAX_ASSIGNMENTS = 10 ** 6
@@ -44,20 +43,11 @@ def evaluate_concurrent(realization, power) -> np.ndarray:
 
     power is (I, K) mW, finite and non-negative, for a realization of I
     links and K tones; anything else raises ValueError before any rate is
-    computed.  The slot loop calls this once per re-scheduling slot, so the
-    value test reads the extreme entries through argmin and argmax (about
-    1.4 us at 4×10, against 6 us for np.all over two comparisons), and each
-    link's own signal is computed once, for the SINR and for taking it out
-    of the total the receiver hears.
+    computed.  Each link's own signal is computed once, for the SINR and
+    for taking it out of the total the receiver hears.
     """
-    power = np.asarray(power, dtype=float)
     cross = realization.cross_gain
-    shape = (cross.shape[0], cross.shape[2])
-    if power.shape != shape:
-        raise ValueError(f"power must have shape {shape}, one row per link, got {power.shape}")
-    # argmin and argmax both return a NaN's index, so a NaN fails the first test
-    if not (power.item(power.argmin()) >= 0.0 and power.item(power.argmax()) < math.inf):
-        raise ValueError("power must be finite and non-negative")
+    power = _check_finite("power", power, False, (cross.shape[0], cross.shape[2]))
     own = np.einsum("iik->ik", cross) * power
     interf = np.einsum("ijk,ik->jk", cross, power) - own
     sinr = own / (realization.noise_power_mw + interf)
@@ -98,7 +88,7 @@ def iwfa_solve(realization, budgets, max_rounds: int = 200) -> InterferenceAlloc
     max_rounds = _check_int("max_rounds", max_rounds, 1)
     cross = realization.cross_gain
     I = realization.num_links
-    budgets = _check_budgets(budgets, I)
+    budgets = _check_finite("budgets", budgets, True, (I,))
     # per link: the gains from every transmitter into its receiver, its own
     # direct gains, its budget and its positive-gain tones (None when all are)
     links = []

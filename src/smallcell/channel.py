@@ -27,7 +27,7 @@ import sys
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .tssolver import _check_int
+from .tssolver import _check_finite, _check_int
 
 SCENARIOS = ("urban-indoor", "urban-outdoor", "suburban-indoor", "suburban-outdoor")
 
@@ -115,10 +115,8 @@ class ChannelRealization:
         cross, noise = np.array(self.cross_gain, dtype=float), self.noise_power_mw
         if cross.ndim != 3 or cross.shape[0] != cross.shape[1] or 0 in cross.shape:
             raise ValueError(f"cross_gain must have shape (I, I, K) with I, K >= 1, got {cross.shape}")
-        if not (cross.item(cross.argmin()) >= 0.0 and cross.item(cross.argmax()) < math.inf):
-            raise ValueError("cross gains must be finite and non-negative")
-        if not 0.0 < noise < math.inf:
-            raise ValueError(f"noise_power_mw must be finite and positive, got {noise!r}")
+        _check_finite("cross gains", cross, False)
+        _check_finite("noise_power_mw", noise, True, ())
         with np.errstate(over="ignore"):  # an overflow is rejected just below
             direct = np.einsum("iik->ik", cross) / noise
         if not direct.item(direct.argmax()) < math.inf:

@@ -27,7 +27,7 @@ import numpy as np
 from .channel import ScenarioConfig, drop_topology, realize_channels, scenario_gain_samples
 from .signaling import build_cdf_table, run_signaling_slot
 from .tssolver import (TSProblem, Allocation, power_phase, subgradient_solve, recover_primal,
-                       _check_int, _check_power_mode)
+                       _check_finite, _check_int, _check_power_mode)
 from .soa import soa_allocate, _assign_stack
 from .baselines import OracleTooLarge, iwfa_solve, oracle_orthogonal, evaluate_concurrent
 
@@ -206,9 +206,13 @@ def run_distributed_slots(cfg: ScenarioConfig, num_slots: int, p_loss: float = 0
     weights = np.ones(I)
 
     # the codebook comes first, so a level count too fine for the gain samples
-    # (duplicate levels) fails before the channel draw
+    # (duplicate levels) and a top level too large for the budget fail before
+    # the channel draw.  Each link schedules from its decoded view, whose
+    # levels can exceed every true gain, so the budget times the top level
+    # must be finite; Python floats overflow to inf without numpy's warning
     table_rng = np.random.default_rng((cfg.rng_seed, 0, 5))
     table = build_cdf_table(scenario_gain_samples(cfg, table_rng), signaling_levels)
+    _check_finite("max_power_mw times the top codebook level", cfg.max_power_mw * table.gain_levels[-1].item(), False)
     realization = _trial_realization(cfg, 0)
     truth = TSProblem(gains=realization.direct_gain, weights=weights, budgets=budgets)
 

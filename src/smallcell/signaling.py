@@ -19,7 +19,7 @@ of a slot through them at once, one receiver at a time.
 from dataclasses import dataclass
 import numpy as np
 
-from .tssolver import _check_int
+from .tssolver import _check_finite, _check_int
 
 # a received ratio s2/s1 above 1 + RATIO_TOL cannot come from a valid pair
 RATIO_TOL = 0.1
@@ -93,12 +93,9 @@ def build_cdf_table(gain_samples, num_levels: int) -> QuantizationTable:
     ValueError.
     """
     _check_int("num_levels", num_levels, 2)
-    ordered = np.sort(np.asarray(gain_samples, dtype=float), axis=None)
+    ordered = np.sort(_check_finite("gain samples", gain_samples, True), axis=None)
     if ordered.size == 0:
         raise ValueError("empty sample set")
-    # NaN sorts last, so the two ends check every sample
-    if not (ordered[0] > 0.0 and ordered[-1] < np.inf):
-        raise ValueError("gain samples must be finite and positive")
     probs = np.arange(1, num_levels + 1) / num_levels
     levels = _linear_quantiles(ordered, probs)
     if not (levels[1:] > levels[:-1]).all():
@@ -134,10 +131,10 @@ def encode_powers(gains, table: QuantizationTable, p0_mw: float):
     """Transmit powers (reference, scaled) announcing each gain in an array.
 
     The reference burst goes out at p0_mw, the scaled one at p0_mw * f(level)
-    where level is the quantized gain.  p0_mw must be finite and positive.
+    where level is the quantized gain.  p0_mw must be one finite, positive
+    number.
     """
-    if not 0.0 < p0_mw < np.inf:
-        raise ValueError("reference power must be finite and positive")
+    _check_finite("reference power", p0_mw, True, ())
     return p0_mw, p0_mw * table.f_values[table.level_index(gains)]
 
 
@@ -149,10 +146,8 @@ def decode_levels(s1, s2, table: QuantizationTable):
     Received powers must be finite and positive, and ratios outside
     (0, 1 + RATIO_TOL] cannot come from a valid pair; both raise.
     """
-    s1 = np.asarray(s1, dtype=float)
-    s2 = np.asarray(s2, dtype=float)
-    if not (((s1 > 0.0) & (s1 < np.inf)).all() and ((s2 > 0.0) & (s2 < np.inf)).all()):
-        raise ValueError("received powers must be finite and positive")
+    s1 = _check_finite("received powers", s1, True)
+    s2 = _check_finite("received powers", s2, True)
     ratio = s2 / s1
     if (ratio > 1.0 + RATIO_TOL).any():
         raise ValueError(f"malformed signal pair, ratio {ratio.max():.4g} "

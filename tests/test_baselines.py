@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -69,13 +70,13 @@ class TestEvaluateConcurrent:
         with pytest.raises(ValueError, match=r"shape \(3, 4\)"):
             evaluate_concurrent(real, np.ones(shape))
 
-    @pytest.mark.parametrize("value", [np.nan, -1.0, -1e-300, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, -1.0, -1e-300, np.inf, -np.inf])
     def test_power_not_finite_and_non_negative_rejected(self, value):
         # unchecked, each returned rates, NaN among them, instead of an error
         real = random_realization(np.random.default_rng(0))
         power = np.ones((3, 4))
         power[1, 2] = value
-        with pytest.raises(ValueError, match="finite and non-negative"):
+        with pytest.raises(ValueError, match=re.escape(f"power must be finite and non-negative, got {value!r}")):
             evaluate_concurrent(real, power)
 
 
@@ -159,7 +160,8 @@ class TestIwfa:
     @pytest.mark.parametrize("budgets,match", [
         (np.ones(2), "shape"), (np.ones(4), "shape"), (np.ones((3, 1)), "shape"), (1.0, "shape"),
         ([1.0, np.nan, 1.0], "finite"), ([1.0, np.inf, 1.0], "finite"),
-        ([1.0, 0.0, 1.0], "positive"), ([1.0, 1.0, -2.0], "positive")])
+        ([1.0, 0.0, 1.0], "positive"), ([1.0, 1.0, -2.0], "positive"),
+        ([1.0, 1.0, -np.inf], "budgets must be finite and positive, got -inf")])
     def test_bad_budgets_rejected_before_any_round(self, budgets, match):
         real = random_realization(np.random.default_rng(7))
         with pytest.raises(ValueError, match=match):

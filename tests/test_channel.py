@@ -1,4 +1,5 @@
 from dataclasses import FrozenInstanceError, fields, replace
+import re
 import sys
 import warnings
 
@@ -128,19 +129,26 @@ class TestRealizeChannels:
         with pytest.raises(ValueError, match=r"cross_gain must have shape \(I, I, K\)"):
             ChannelRealization(cross_gain=np.ones(shape), noise_power_mw=1.0)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0, -np.inf])
     def test_bad_cross_gain_rejected(self, value):
         # unchecked, a NaN gain gave NaN rates
         cross = np.ones((3, 3, 4))
         cross[1, 0, 2] = value
-        with pytest.raises(ValueError, match="cross gains must be finite and non-negative"):
+        with pytest.raises(ValueError, match=re.escape(f"cross gains must be finite and non-negative, got {value!r}")):
             ChannelRealization(cross_gain=cross, noise_power_mw=1.0)
 
-    @pytest.mark.parametrize("noise", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("noise", [0.0, -1.0, np.inf, np.nan, np.float64(-np.inf)])
     def test_bad_noise_rejected(self, noise):
-        # unchecked, a negative noise power gave inf rates
-        with pytest.raises(ValueError, match="noise_power_mw must be finite and positive"):
+        # unchecked, a negative noise power gave inf rates; a numpy float is
+        # reported as the plain float it holds
+        with pytest.raises(ValueError, match=re.escape(f"noise_power_mw must be finite and positive, got {float(noise)!r}")):
             ChannelRealization(cross_gain=np.ones((2, 2, 3)), noise_power_mw=noise)
+
+    @pytest.mark.parametrize("noise", [np.array([1.0]), np.array([1.0, 2.0])])
+    def test_noise_that_is_not_one_number_rejected(self, noise):
+        # unchecked, a noise power per tone divided each tone's gains by its own
+        with pytest.raises(ValueError, match=re.escape(f"noise_power_mw must have shape (), got {noise.shape}")):
+            ChannelRealization(cross_gain=np.ones((2, 2, 2)), noise_power_mw=noise)
 
     def test_direct_gain_overflow_rejected(self):
         # the division once warned "overflow encountered in divide" first,

@@ -122,24 +122,35 @@ class TestUsageErrors:
         assert captured.err.startswith(message)
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("line, message", [
+    SIM = "sim --tones 10 --algos SOA --trials 2"
+    CONFIG_CASES = [
         # the first ended in an OverflowError traceback, the second reported
         # 0.000 Mbit/s, the third ended in a FloatingPointError traceback
-        ("max_power_dbm = 4000", "max_power_mw from max_power_dbm is inf"),
-        ("noise_density_dbm_hz = 4000", "noise_power_mw from noise_density_dbm_hz and tone_bandwidth_hz is inf"),
-        ("shadow_sigma_db = 10000", "cross gains must be finite and non-negative"),
-        ("num_links = 2.5", "bad.cfg:1: num_links expects int, got '2.5'"),
+        ("max_power_dbm = 4000", "max_power_mw from max_power_dbm is inf", SIM),
+        ("noise_density_dbm_hz = 4000", "noise_power_mw from noise_density_dbm_hz and tone_bandwidth_hz is inf",
+         SIM),
+        ("shadow_sigma_db = 10000", "cross gains must be finite and non-negative", SIM),
+        ("num_links = 2.5", "bad.cfg:1: num_links expects int, got '2.5'", SIM),
         # a full-budget SNR past the float range once scored inf or ended in
         # a FloatingPointError traceback
-        ("noise_density_dbm_hz = -3200", "each link's full-budget SNR"),
-    ])
-    def test_rejected_config_file_is_a_one_line_usage_error(self, tmp_path, line, message, capsys):
+        ("noise_density_dbm_hz = -3200", "each link's full-budget SNR", SIM),
+        # a codebook level times the budget past the float range once printed
+        # numpy's overflow warnings and exited 0
+        ("noise_density_dbm_hz = -3180", "max_power_mw times the top codebook level",
+         "slots --links 16 --tones 64 --slots 1"),
+    ]
+
+    # each case is named by its line and message
+    @pytest.mark.parametrize("line, message, command", CONFIG_CASES,
+                             ids=[f"{line}-{message}" for line, message, _ in CONFIG_CASES])
+    def test_rejected_config_file_is_a_one_line_usage_error(self, tmp_path, line, message, command, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(line + "\n")
+        subcommand, *rest = command.split()
         with pytest.raises(SystemExit) as exit_info:
-            main(["sim", "--config", str(path), "--tones", "10", "--algos", "SOA", "--trials", "2"])
+            main([subcommand, "--config", str(path), *rest])
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("smallcell sim: error: ") and message in captured.err
+        assert captured.err.startswith(f"smallcell {subcommand}: error: ") and message in captured.err
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

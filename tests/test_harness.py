@@ -143,16 +143,30 @@ class TestRunExperiment:
 
 
 class TestDistributedSlots:
-    @pytest.mark.parametrize("setting", [{"shadow_sigma_db": 10000.0},
-                                         {"noise_density_dbm_hz": -3230.0}],
+    @pytest.mark.parametrize("setting, got", [({"shadow_sigma_db": 10000.0}, "0.0"),
+                                              ({"noise_density_dbm_hz": -3230.0}, "inf")],
                              ids=["shadowing", "noise"])
-    def test_codebook_samples_past_the_float_range_raise_without_a_warning(self, setting):
+    def test_codebook_samples_past_the_float_range_raise_without_a_warning(self, setting, got):
         # the codebook's samples once overflowed with numpy's RuntimeWarning
-        # before build_cdf_table rejected them
+        # before build_cdf_table rejected them; a 10000 dB spread also
+        # underflows some samples to 0.0, the smallest and so the one named
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="gain samples must be finite and positive"):
+            with pytest.raises(ValueError, match=f"gain samples must be finite and positive, got {got}"):
                 run_distributed_slots(small_cfg(**setting), num_slots=1)
+
+    @pytest.mark.parametrize("links, tones, noise", [(4, 10, -3192.0), (16, 64, -3180.0)])
+    def test_codebook_level_past_the_float_range_rejected_on_entry(self, links, tones, noise,
+                                                                   no_channel_draw):
+        # each link schedules from codebook levels, which can exceed every
+        # true gain: these once passed TSProblem's full-budget SNR check and
+        # printed numpy's overflow warnings from the greedy's budget times gain
+        cfg = small_cfg(num_links=links, num_tones=tones, noise_density_dbm_hz=noise)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="max_power_mw times the top codebook level must be "
+                                                 "finite and non-negative, got inf"):
+                run_distributed_slots(cfg, num_slots=1)
 
     def test_perfect_signaling_never_collides(self):
         cfg = small_cfg(num_links=3, num_tones=6)

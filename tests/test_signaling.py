@@ -48,9 +48,11 @@ class TestTableConstruction:
     # duplicate check, one inf a NaN top level, negatives negative levels
     @pytest.mark.parametrize("samples", [_one_bad(np.nan), _one_bad(np.inf), _one_bad(-np.inf), _one_bad(-1.0),
                                          _one_bad(0.0), _one_bad(-0.0), [np.nan] * 50,
-                                         -np.linspace(1.0, 3.0, 50), np.linspace(-1.0, 1.0, 50)])
+                                         -np.linspace(1.0, 3.0, 50), np.linspace(-1.0, 1.0, 50),
+                                         [[2.0, np.inf], [np.nan, 1.0]]])
     def test_samples_not_finite_and_positive_rejected(self, samples):
-        with pytest.raises(ValueError, match="gain samples must be finite and positive"):
+        # the message names an offending sample; a 2-D set is read whole
+        with pytest.raises(ValueError, match="gain samples must be finite and positive, got "):
             build_cdf_table(samples, 4)
 
     def test_levels_are_numpys_linear_quantiles(self):
@@ -180,8 +182,9 @@ class TestEncodeDecode:
 
     def test_non_finite_received_power_raises(self):
         table = three_level_table()
-        for s1, s2 in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)):
-            with pytest.raises(ValueError, match="received powers"):
+        for s1, s2 in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf), (1.0, -np.inf)):
+            bad = s2 if s1 == 1.0 else s1
+            with pytest.raises(ValueError, match=re.escape(f"received powers must be finite and positive, got {bad!r}")):
                 decode_levels(s1, s2, table)
 
 
@@ -214,11 +217,17 @@ class TestSignalingSlot:
         cfg, real = small_realization()
         table = build_cdf_table(real.direct_gain.ravel(), 4)
         every_pair_lost = np.ones((4, 4, 10), dtype=bool)
-        for p0 in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="reference power must be finite and positive"):
+        for p0 in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=re.escape(f"reference power must be finite and positive, got {p0!r}")):
                 run_signaling_slot(real, table, p0)
             with pytest.raises(ValueError, match="reference power"):
                 run_signaling_slot(real, table, p0, loss_mask=every_pair_lost)
+
+    def test_reference_power_that_is_not_one_number_rejected(self):
+        cfg, real = small_realization()
+        table = build_cdf_table(real.direct_gain.ravel(), 4)
+        with pytest.raises(ValueError, match=re.escape("reference power must have shape (), got (10,)")):
+            run_signaling_slot(real, table, np.full(10, cfg.max_power_mw))
 
     @pytest.mark.parametrize("shape", [(4, 4, 11), (1, 4, 10), (4, 10)])
     def test_loss_mask_of_another_shape_rejected(self, shape):

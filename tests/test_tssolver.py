@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from smallcell.channel import ScenarioConfig
 from smallcell.harness import _trial_realization
 from smallcell.tssolver import (TSProblem, Allocation, subgradient_solve, recover_primal,
-                                default_multipliers, power_phase, LAM_FLOOR, _dual_kernel,
-                                _share_fill)
+                                default_multipliers, power_phase, LAM_FLOOR, _check_finite,
+                                _dual_kernel, _share_fill)
 from smallcell.baselines import oracle_orthogonal
 from smallcell.soa import soa_allocate
 from reference import (classic_water_fill, random_problem, _reference_dual, _reference_shares,
@@ -574,18 +574,30 @@ class TestPowerPhase:
         ([[0], np.array([2, 1, 2])], r"sets\[1\] holds a tone twice"),
         ([[0, 1, 2]], r"1 tone sets for 2 rows"),
         ([[0], [1], [2]], r"3 tone sets for 2 rows"),
+        ([[0.5], [0]], r"a tone of sets\[0\] must be a non-negative integer, got 0\.5"),
+        ([[0], [1, 2.0]], r"a tone of sets\[1\] must be a non-negative integer, got 2\.0"),
+        ([[1], [0, True]], r"a tone of sets\[1\] must be a non-negative integer, got True"),
     ])
     def test_rejects_tones_outside_the_row_or_repeated(self, sets, message, mode):
-        # at 10 mW each, [[-1], [0]] put link 0's budget on link 1's row and
-        # [[0, 0, 1], [2]] left link 0 short of its budget
+        # at 10 mW each, [[-1], [0]] put link 0's budget on link 1's row,
+        # [[0, 0, 1], [2]] left link 0 short of its budget, and 0.5 and True
+        # were read as tones 0 and 1
         with pytest.raises(ValueError, match=message):
             power_phase(np.ones((2, 3)), sets, np.full(2, 10.0), mode)
 
     @pytest.mark.parametrize("mode", ["equal", "waterfill"])
-    @pytest.mark.parametrize("budget", [0.0, -1.0, np.nan, np.inf])
+    def test_rows_that_all_won_nothing_get_nothing(self, mode):
+        # a stack of empty sets lists no tone, so the type check sees no type
+        # and the cast must still give integer tones
+        for sets in ([[], []], [np.array([], dtype=np.intp), []]):
+            share, power = power_phase(np.ones((2, 3)), sets, np.full(2, 10.0), mode)
+            assert not share.any() and not power.any()
+
+    @pytest.mark.parametrize("mode", ["equal", "waterfill"])
+    @pytest.mark.parametrize("budget", [0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_rejects_a_budget_that_is_not_finite_and_positive(self, budget, mode):
         # unchecked, "equal" wrote the budget itself, or NaN, as power
-        with pytest.raises(ValueError, match="budgets must be finite"):
+        with pytest.raises(ValueError, match=re.escape(f"budgets must be finite and positive, got {budget!r}")):
             power_phase(np.ones((1, 2)), [[0, 1]], np.array([budget]), mode)
 
     @pytest.mark.parametrize("mode", ["equal", "waterfill"])
@@ -699,10 +711,11 @@ class TestWaterFill:
         with pytest.raises(ValueError, match="budget"):
             fill_row([1.0, 2.0], budget)
 
-    @pytest.mark.parametrize("gains", [[np.nan, 1.0], [1.0, 0.0, np.nan], [np.nan]])
+    @pytest.mark.parametrize("gains", [[np.nan, 1.0], [1.0, 0.0, np.nan], [np.nan], [-1.0, np.nan]])
     def test_nan_gain_raises(self, gains):
-        # a NaN gain is rejected where gains enter, before any solver fills them
-        with pytest.raises(ValueError, match="gains must be finite"):
+        # a NaN gain is rejected where gains enter, before any solver fills
+        # them, and is the entry reported even after a negative one
+        with pytest.raises(ValueError, match="gains must be finite and non-negative, got nan"):
             TSProblem(gains=[gains], weights=[1.0], budgets=[1.0])
 
     def test_gains_not_1d_raise(self):
@@ -728,11 +741,12 @@ class TestProblemValidation:
             TSProblem(gains=[[1.0]], weights=[0.0], budgets=[1.0])
 
     @pytest.mark.parametrize("weight, budget", [(1.0, np.nan), (1.0, np.inf), (np.nan, 1.0),
-                                                (np.inf, 1.0)])
+                                                (np.inf, 1.0), (-np.inf, 1.0)])
     def test_non_finite_weight_or_budget_rejected(self, weight, budget):
         # unchecked, a NaN budget scores 0.0, an inf budget gives NaN powers
         # and an inf weight an inf objective
-        with pytest.raises(ValueError, match="finite"):
+        name, value = ("budgets", budget) if weight == 1.0 else ("weights", weight)
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be finite and positive, got {value!r}")):
             TSProblem(gains=[[1.0, 2.0]], weights=[weight], budgets=[budget])
 
     def test_shape_mismatch_rejected(self):
@@ -755,3 +769,35 @@ class TestProblemValidation:
             with pytest.raises(ValueError, match="full-budget SNR"):
                 TSProblem(gains=gains, weights=[1.0], budgets=[budget])
         TSProblem(gains=gains, weights=[1.0], budgets=[1.0])
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_rejects_an_entry_that_is_not_finite_and_positive(self, bad):
+        values = np.array([[2.0, 3.0], [bad, 1.0]])
+        with pytest.raises(ValueError, match=re.escape(f"x must be finite and positive, got {bad!r}")):
+            _check_finite("x", values, True)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+    def test_rejects_an_entry_that_is_not_finite_and_non_negative(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"x must be finite and non-negative, got {bad!r}")):
+            _check_finite("x", [0.0, bad, 5.0], False)
+
+    def test_a_nan_is_reported_over_the_other_bad_entries(self):
+        # argmin and argmax both land on the first NaN
+        with pytest.raises(ValueError, match="got nan"):
+            _check_finite("x", [-1.0, np.inf, np.nan, 0.0], True)
+
+    def test_returns_a_float_array_of_the_values(self):
+        out = _check_finite("x", [[1, 2]], True, (1, 2))
+        assert out.dtype == float and out.tolist() == [[1.0, 2.0]]
+        for zero in (0.0, -0.0):
+            assert _check_finite("x", [zero, 1.0], False).tolist() == [zero, 1.0]
+        assert _check_finite("x", 3.5, True).shape == ()
+        assert _check_finite("x", np.empty((0, 4)), True, (0, 4)).shape == (0, 4)
+
+    @pytest.mark.parametrize("values", [np.ones(2), np.ones((3, 1)), 1.0])
+    def test_rejects_another_shape(self, values):
+        shape = np.shape(values)
+        with pytest.raises(ValueError, match=re.escape(f"x must have shape (3,), got {shape}")):
+            _check_finite("x", values, True, (3,))
