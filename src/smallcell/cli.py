@@ -34,11 +34,11 @@ def _add_experiment_flags(p):
     p.add_argument("--out", help="records CSV path")
 
 
-def _build_cfg(args, links=None, radius=None):
+def _build_cfg(args, links, radius):
     overrides = {
         "scenario": args.scenario,
-        "cell_radius_m": radius if radius is not None else getattr(args, "radius", None),
-        "num_links": links if links is not None else getattr(args, "links", None),
+        "cell_radius_m": radius,
+        "num_links": links,
         "num_tones": args.tones,
         "rng_seed": args.seed,
     }
@@ -57,7 +57,7 @@ def _cmd_sim(args):
 
 
 def _cmd_slots(args):
-    cfg = _build_cfg(args)
+    cfg = _build_cfg(args, args.links, args.radius)
     states = run_distributed_slots(cfg, num_slots=args.slots, p_loss=args.loss_prob,
                                    giveup_probability=args.giveup_prob,
                                    signaling_levels=args.signaling_levels,
@@ -90,12 +90,12 @@ def _run_points(args, links_list, radius_list):
     all_records = []
     for radius in radius_list:
         for links in links_list:
-            cfg = _build_cfg(args, links=links, radius=radius)
+            cfg = _build_cfg(args, links, radius)
             recs = run_experiment(cfg, _parse_algos(args.algos), trials=args.trials,
                                   power_mode=args.power_mode,
                                   signaling_overhead=args.signaling_overhead)
             all_records.extend(recs)
-            if radius is not None and len(radius_list) > 1:
+            if len(radius_list) > 1:
                 print(f"# radius = {radius} m")
                 print(render_summary(summarize(recs)))
     if args.out:

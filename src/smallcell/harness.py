@@ -278,22 +278,19 @@ def summarize(records):
             continue
         groups.setdefault((rec.algorithm, rec.num_links), []).append(rec)
 
-    means = {key: float(np.mean([r.objective_bps for r in recs])) for key, recs in groups.items()}
+    objectives = {key: np.array([r.objective_bps for r in recs]) for key, recs in groups.items()}
+    means = {key: float(objs.mean()) for key, objs in objectives.items()}
     rows = []
-    for (algo, links) in sorted(groups, key=lambda k: (k[0], k[1])):
-        recs = groups[(algo, links)]
-        objs = np.array([r.objective_bps for r in recs])
-        ratio = None
-        if ("SOA", links) in means and ("IWFA", links) in means and means[("IWFA", links)] > 0:
-            ratio = means[("SOA", links)] / means[("IWFA", links)]
+    for (algo, links), recs in sorted(groups.items()):
+        soa, iwfa = means.get(("SOA", links)), means.get(("IWFA", links), 0.0)
         rows.append({
             "algorithm": algo,
             "num_links": links,
             "trials": len(recs),
-            "mean_objective_bps": float(objs.mean()),
-            "std_objective_bps": float(objs.std()),
+            "mean_objective_bps": means[algo, links],
+            "std_objective_bps": float(objectives[algo, links].std()),
             "mean_runtime_us": float(np.mean([r.runtime_us for r in recs])),
-            "soa_iwfa_ratio": ratio,
+            "soa_iwfa_ratio": soa / iwfa if soa is not None and iwfa > 0 else None,
         })
     return rows
 
@@ -320,10 +317,6 @@ def write_records_csv(records, path):
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in ordered:
-            if r.skipped:
-                writer.writerow([r.trial_id, r.scenario, r.num_links, r.num_tones,
-                                 r.algorithm, "", "", "", r.collisions, r.seed])
-            else:
-                writer.writerow([r.trial_id, r.scenario, r.num_links, r.num_tones,
-                                 r.algorithm, f"{r.objective_bps:.6f}", f"{r.runtime_us:.3f}",
-                                 r.iterations, r.collisions, r.seed])
+            solve = ("", "", "") if r.skipped else (f"{r.objective_bps:.6f}", f"{r.runtime_us:.3f}", r.iterations)
+            writer.writerow([r.trial_id, r.scenario, r.num_links, r.num_tones, r.algorithm,
+                             *solve, r.collisions, r.seed])

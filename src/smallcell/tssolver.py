@@ -210,14 +210,19 @@ def power_phase(gains, sets, budgets, power_mode: str):
     power = np.zeros(gains.shape)
     counts = [len(tones) for tones in sets]
     listed = list(chain.from_iterable(sets))
-    tones = np.array(listed, dtype=np.intp)
-    # the cast truncates a float and reads a bool as 0 or 1, so each type
-    # listed must be an integer type by _check_int's rule.  Read as unsigned,
-    # a negative tone is huge, so one argmax checks both ends of [0, K); a
-    # repeated tone shows as fewer shares than tones
+    # the cast truncates a float, reads a bool as 0 or 1 and fails on NaN or
+    # a string, so each type listed must first be an integer type by
+    # _check_int's rule; an integer past intp is outside [0, K) too
+    if not all(map(_is_int_type, set(map(type, listed)))):
+        _reject_sets(sets, num_tones)
+    try:
+        tones = np.array(listed, dtype=np.intp)
+    except OverflowError:
+        _reject_sets(sets, num_tones)
+    # read as unsigned, a negative tone is huge, so one argmax checks both
+    # ends of [0, K); a repeated tone shows as fewer shares than tones
     unsigned = tones.view(np.uintp)
-    if (not all(map(_is_int_type, set(map(type, listed))))
-            or tones.size and not unsigned.item(unsigned.argmax()) < num_tones):
+    if tones.size and not unsigned.item(unsigned.argmax()) < num_tones:
         _reject_sets(sets, num_tones)
     flat = np.repeat(np.arange(num_rows) * num_tones, counts)
     flat += tones
@@ -238,14 +243,17 @@ def power_phase(gains, sets, budgets, power_mode: str):
 
 
 def _reject_sets(sets, num_tones: int):
-    """Raise ValueError naming the first set with a tone outside
-    [0, num_tones), a tone in it that is not an integer by _check_int's
-    rule, or a tone it holds twice."""
+    """Raise ValueError naming the first set with a tone that is not an
+    integer by _check_int's rule or lies outside [0, num_tones), or a tone
+    it holds twice.  A tone's type is tested before it is compared, so a
+    NaN or a string is named as not an integer."""
     for r, tones in enumerate(sets):
-        outside = [k for k in tones if not 0 <= k < num_tones]
-        if outside:
-            raise ValueError(f"sets[{r}] holds tone {outside[0]}, outside [0, {num_tones})")
-        tones = [_check_int(f"a tone of sets[{r}]", k, 0) for k in tones]
+        for k in tones:
+            if not _is_int_type(type(k)):
+                _check_int(f"a tone of sets[{r}]", k, 0)
+            if not 0 <= k < num_tones:
+                raise ValueError(f"sets[{r}] holds tone {k}, outside [0, {num_tones})")
+        tones = [int(k) for k in tones]
         if len(set(tones)) != len(tones):
             raise ValueError(f"sets[{r}] holds a tone twice: {tones}")
 

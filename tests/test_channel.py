@@ -381,6 +381,12 @@ class TestConfigFile:
             cfg_for(**{field: 10 ** 400})
         cfg_for(**{field: int(sys.float_info.max)})
 
+    @pytest.mark.parametrize("field", ["cell_radius_m", "tone_bandwidth_hz"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_nonpositive_radius_or_bandwidth_rejected(self, field, value):
+        with pytest.raises(ValueError, match="cell_radius_m and tone_bandwidth_hz must be positive"):
+            cfg_for(**{field: value})
+
     def test_zero_propagation_terms_accepted(self):
         cfg_for(num_floors=0, shadow_sigma_db=0.0, num_walls=0, indoor_dist_m=0.0)
         cfg_for(num_floors=np.int64(1), num_walls=np.int64(1))

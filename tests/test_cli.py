@@ -4,6 +4,7 @@ import pytest
 
 from smallcell.channel import ScenarioConfig
 from smallcell.cli import main
+from smallcell.harness import run_distributed_slots
 
 
 def read_csv(path):
@@ -56,6 +57,19 @@ class TestSlots:
             assert float(row[3]) <= float(row[2]) + 1e-6
         assert "slots: 5" in capsys.readouterr().out
 
+    def test_links_flag_beats_the_config_file(self, tmp_path, monkeypatch, capsys):
+        cfg_file = tmp_path / "scenario.cfg"
+        cfg_file.write_text("num_links = 9\n")
+        seen = []
+
+        def run(cfg, **kwargs):
+            seen.append(cfg)
+            return run_distributed_slots(cfg, **kwargs)
+        monkeypatch.setattr("smallcell.cli.run_distributed_slots", run)
+        rc = main(["slots", "--config", str(cfg_file), "--links", "3", "--tones", "4", "--slots", "1"])
+        assert rc == 0
+        assert [cfg.num_links for cfg in seen] == [3]
+
     def test_lossless_reports_no_collisions(self, capsys):
         rc = main(["slots", "--links", "2", "--tones", "4", "--slots", "3"])
         assert rc == 0
@@ -81,11 +95,13 @@ class TestSweep:
         text = capsys.readouterr().out
         assert "# radius = 25.0 m" in text and "# radius = 50.0 m" in text
 
-    def test_radius_sweep_keeps_the_scenario_link_count(self, tmp_path, capsys):
+    @pytest.mark.parametrize("links", [[], ["--links", ""]], ids=["links-absent", "links-empty"])
+    def test_radius_sweep_keeps_the_scenario_link_count(self, tmp_path, capsys, links):
         # without --links, a radius sweep once took the link sweep's 2..10
-        # default and was rejected for varying both
+        # default and was rejected for varying both; an empty --links once
+        # reached the config as the string ''
         out = tmp_path / "radius.csv"
-        rc = main(["sweep", "--radius", "10,20", "--tones", "3", "--trials", "1",
+        rc = main(["sweep", "--radius", "10,20", *links, "--tones", "3", "--trials", "1",
                    "--out", str(out)])
         assert rc == 0
         rows = read_csv(out)
@@ -138,6 +154,19 @@ class TestUsageErrors:
         # numpy's overflow warnings and exited 0
         ("noise_density_dbm_hz = -3180", "max_power_mw times the top codebook level",
          "slots --links 16 --tones 64 --slots 1"),
+        # a noise power whose direct gains overflow once printed numpy's
+        # overflow warning before the error line
+        ("noise_density_dbm_hz = -3230", "direct gains cross_gain[i, i, k] / 1.8e-318 overflow",
+         "sim --links 2 --tones 3 --trials 1"),
+        # the codebook's gain samples underflow and overflow the same two
+        # ways; they once printed numpy's overflow warnings before the error line
+        ("shadow_sigma_db = 10000", "gain samples must be finite and positive, got 0.0",
+         "slots --links 4 --tones 10"),
+        ("noise_density_dbm_hz = -3230", "gain samples must be finite and positive, got inf",
+         "slots --links 2 --tones 3"),
+        # counts past the float range once ended in an OverflowError traceback
+        ("num_floors = 1" + "0" * 400, "num_floors must be at most", "sim"),
+        ("num_walls = 1" + "0" * 400, "num_walls must be at most", "sim"),
     ]
 
     # each case is named by its line and message

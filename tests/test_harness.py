@@ -384,6 +384,19 @@ class TestSummaries:
         with pytest.raises(ValueError):
             summarize([])
 
+    def test_summarize_rows_by_algorithm_then_link_count(self):
+        recs = [self.record("SOA", 3, 4.0, runtime=30.0), self.record("SOA", 3, 8.0, trial=1, runtime=10.0),
+                self.record("IWFA", 3, 2.0), self.record("SOA", 2, 5.0), self.record("IWFA", 2, 0.0),
+                self.record("TS-Subgradient", 4, 6.0), self.record("SOA", 4, 3.0)]
+        rows = summarize(recs)
+        assert [(r["algorithm"], r["num_links"]) for r in rows] == [
+            ("IWFA", 2), ("IWFA", 3), ("SOA", 2), ("SOA", 3), ("SOA", 4), ("TS-Subgradient", 4)]
+        soa = rows[3]
+        assert soa["std_objective_bps"] == 2.0 and soa["mean_runtime_us"] == 20.0
+        assert soa["soa_iwfa_ratio"] == rows[1]["soa_iwfa_ratio"] == 3.0
+        # an IWFA mean of 0 at two links, and no IWFA at four
+        assert [r["soa_iwfa_ratio"] for r in rows if r["num_links"] != 3] == [None] * 4
+
     def test_render_summary_mentions_everything(self):
         recs = [self.record("SOA", 2, 2.0e6), self.record("IWFA", 2, 1.0e6)]
         text = render_summary(summarize(recs))
@@ -414,6 +427,18 @@ class TestCsv:
             rows = list(csv.reader(fh))
         assert rows[1][5] == "" and rows[1][6] == "" and rows[1][7] == ""
         assert rows[1][4] == "Oracle"
+
+    def test_exact_rows_of_a_solved_and_a_skipped_record(self, tmp_path):
+        record = TrialRecord(trial_id=0, scenario="urban-indoor", num_links=2, num_tones=4,
+                             algorithm="SOA", objective_bps=1234.5678901, runtime_us=12.3456,
+                             iterations=7, collisions=0, seed=3)
+        skipped = replace(record, algorithm="Oracle", objective_bps=0.0, skipped=True)
+        path = tmp_path / "exact.csv"
+        write_records_csv([record, skipped], path)
+        assert path.read_text().splitlines()[1:] == [
+            "0,urban-indoor,2,4,Oracle,,,,0,3",
+            "0,urban-indoor,2,4,SOA,1234.567890,12.346,7,0,3",
+        ]
 
     def test_rows_sorted_by_trial_then_algorithm(self, tmp_path):
         cfg = small_cfg()

@@ -577,11 +577,15 @@ class TestPowerPhase:
         ([[0.5], [0]], r"a tone of sets\[0\] must be a non-negative integer, got 0\.5"),
         ([[0], [1, 2.0]], r"a tone of sets\[1\] must be a non-negative integer, got 2\.0"),
         ([[1], [0, True]], r"a tone of sets\[1\] must be a non-negative integer, got True"),
+        ([[float("nan")], [0]], r"a tone of sets\[0\] must be a non-negative integer, got nan"),
+        ([[0], [1, "a"]], r"a tone of sets\[1\] must be a non-negative integer, got 'a'"),
+        ([[2 ** 70], [0]], r"sets\[0\] holds tone 1180591620717411303424, outside \[0, 3\)"),
     ])
     def test_rejects_tones_outside_the_row_or_repeated(self, sets, message, mode):
         # at 10 mW each, [[-1], [0]] put link 0's budget on link 1's row,
         # [[0, 0, 1], [2]] left link 0 short of its budget, and 0.5 and True
-        # were read as tones 0 and 1
+        # were read as tones 0 and 1; NaN, 'a' and 2 ** 70 failed in the
+        # cast to intp without naming the set
         with pytest.raises(ValueError, match=message):
             power_phase(np.ones((2, 3)), sets, np.full(2, 10.0), mode)
 
