@@ -36,6 +36,9 @@ _DUAL_SLOPE = ("urban-outdoor", "suburban-outdoor")
 _INNER_WALL = ("urban-indoor", "urban-outdoor")
 
 MIN_DISTANCE_M = 1.0  # clamp below this to dodge near-field blowup on coincident drops
+# endpoints lie in the cell disk, so each coordinate of a tx-rx difference is
+# at most twice the radius, and the squared length at most 8 radius^2
+MAX_RADIUS_M = math.sqrt(sys.float_info.max / 8.0)
 GAIN_SAMPLES = 2048   # scenario gain samples behind the signaling codebook
 
 
@@ -79,6 +82,9 @@ class ScenarioConfig:
             # pathloss_db scales a dB term by these counts as floats
             if f.name in ("num_floors", "num_walls") and value > sys.float_info.max:
                 raise ValueError(f"{f.name} must be at most {sys.float_info.max!r}, the largest float")
+        if self.cell_radius_m > MAX_RADIUS_M:
+            raise ValueError(f"cell_radius_m must be at most sqrt(float max / 8) = {MAX_RADIUS_M!r}, "
+                             f"so that endpoint distances squared stay finite, got {self.cell_radius_m!r}")
         for derived, settings in (("noise_power_mw", "noise_density_dbm_hz and tone_bandwidth_hz"),
                                   ("max_power_mw", "max_power_dbm")):
             try:
@@ -138,10 +144,11 @@ def config_from_file(path, **overrides) -> ScenarioConfig:
     """Read a flat key=value config file; keyword overrides win over the file.
 
     Keys match ScenarioConfig field names, values parse as the field's type.
-    Blank lines and '#' comments are skipped.  Unknown keys and bad values raise.
+    Blank lines and '#' comments are skipped.  Unknown keys, bad values and a
+    key given twice raise.
     """
     ftypes = {f.name: f.type for f in fields(ScenarioConfig)}
-    values = {}
+    values, first_line = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -152,6 +159,9 @@ def config_from_file(path, **overrides) -> ScenarioConfig:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in ftypes:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: {key} given twice (first on line {first_line[key]})")
+            first_line[key] = lineno
             try:
                 values[key] = ftypes[key](val)
             except ValueError:

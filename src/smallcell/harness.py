@@ -308,7 +308,9 @@ def render_summary(rows) -> str:
 
 
 def write_records_csv(records, path):
-    """Emit records with the stable column set, sorted by trial then algorithm.
+    """Emit records with the stable column set, sorted by trial, link count,
+    then algorithm.  The sort is stable, so records equal on all three, such
+    as the points of a radius sweep, keep their run order.
 
     Skipped records keep their row with empty objective/runtime/iterations.
     """

@@ -410,7 +410,8 @@ def subgradient_solve(problem: TSProblem, max_iters: int = 10000, tol=1e-4) -> S
     far above an optimum that lies below it.  A value above the dual bound
     by more than that can only be rounding or overflow and certifies
     nothing.  tol=None checks nothing and runs all max_iters iterations.
-    max_iters must be an integer >= 1 and tol None or finite and >= 0;
+    max_iters must be an integer >= 1 and tol None or finite and >= 0, and
+    each link's box edge and step scale lam0_i / budget_i must be finite;
     anything else raises ValueError before the first iteration.  With a
     tol, the winners are kept in one (max_iters, K) integer array,
     8 * max_iters * K bytes (320 kB at 10,000 iterations and 4 tones).
@@ -441,10 +442,17 @@ def subgradient_solve(problem: TSProblem, max_iters: int = 10000, tol=1e-4) -> S
 
     num_links, num_tones = problem.gains.shape
     dual = _dual_kernel(problem)
-    lam_max = np.maximum(num_tones * problem.weights / problem.budgets, LAM_FLOOR)
+    lam0 = default_multipliers(problem)
+    with np.errstate(over="ignore"):    # an overflow is rejected just below, without a warning
+        lam_max = np.maximum(num_tones * problem.weights / problem.budgets, LAM_FLOOR)
+        lam = np.minimum(lam0, lam_max)
+        scale = lam / problem.budgets
+    bad = ~(np.isfinite(lam_max) & np.isfinite(scale))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"link {i}'s multiplier box edge num_tones * weight / budget ({lam_max.item(i)!r}) "
+                         f"and step scale lam0 / budget ({scale.item(i)!r}) must be finite")
     lam_floor = np.full(num_links, LAM_FLOOR)
-    lam = np.minimum(default_multipliers(problem), lam_max)
-    scale = lam / problem.budgets
     # steps[t - 1] is alpha(t) * scale, as the Python float a / (b + t) times
     # scale gives it
     alphas = a / (b + np.arange(1, max_iters + 1))

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from smallcell.channel import (GAIN_SAMPLES, ChannelRealization, ScenarioConfig, SCENARIOS,
+from smallcell.channel import (GAIN_SAMPLES, MAX_RADIUS_M, ChannelRealization, ScenarioConfig, SCENARIOS,
                                drop_topology, pathloss_db, realize_channels, config_from_file,
                                scenario_gain_samples)
 from reference import frozen_gain_samples, keyed_reference
@@ -386,6 +386,25 @@ class TestConfigFile:
     def test_nonpositive_radius_or_bandwidth_rejected(self, field, value):
         with pytest.raises(ValueError, match="cell_radius_m and tone_bandwidth_hz must be positive"):
             cfg_for(**{field: value})
+
+    def test_radius_whose_distances_squared_overflow_rejected(self):
+        # unchecked, np.linalg.norm in _path_gains warned "overflow encountered
+        # in multiply" and sim reported 0.000 Mbit/s; at the bound a drop draws
+        # without a warning
+        with pytest.raises(ValueError, match="cell_radius_m must be at most sqrt"):
+            cfg_for(cell_radius_m=1e160)
+        cfg = cfg_for(cell_radius_m=MAX_RADIUS_M)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            realize_channels(cfg, drop_topology(cfg, np.random.default_rng(0)), 1)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        # unchecked, the last value won silently
+        path = tmp_path / "bad.cfg"
+        path.write_text("num_links = 2\n# comment\nnum_links = 5\n")
+        with pytest.raises(ValueError) as info:
+            config_from_file(path)
+        assert str(info.value) == f"{path}:3: num_links given twice (first on line 1)"
 
     def test_zero_propagation_terms_accepted(self):
         cfg_for(num_floors=0, shadow_sigma_db=0.0, num_walls=0, indoor_dist_m=0.0)

@@ -284,6 +284,18 @@ class TestSubgradientSolve:
         assert res.gap > 0.99
         assert res.best_dual <= LAM_FLOOR * prob.budgets.sum() * (1 + 1e-12)
 
+    @pytest.mark.parametrize("gains, budget", [
+        ([[1.0, 2.0]], 1e-308),         # the box edge K * weight / budget overflows
+        ([[1e300, 1e300]], 1e-300)])    # the step scale lam0 / budget overflows
+    def test_box_edge_or_step_scale_past_the_float_range_rejected(self, gains, budget):
+        # unchecked, the dual value became inf and the solve raised
+        # FloatingPointError at iteration 2
+        prob = TSProblem(gains=[[1.0, 2.0]] + gains, weights=[1.0, 1.0], budgets=[1.0, budget])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^link 1's multiplier box edge .* must be finite$"):
+                subgradient_solve(prob)
+
     def test_bad_arguments(self):
         prob = random_problem(np.random.default_rng(7), num_links=3, num_tones=4)
         with pytest.raises(ValueError):
